@@ -645,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raw Algorithm 1 output, no local refinement")
     p.add_argument("--seeds", type=_positive_int, default=1,
                    help="run K consecutive seeds in one lockstep sweep "
-                        "(batched pricing; results identical to K runs)")
+                        "(results identical to K runs)")
     p.add_argument("--kernel",
                    choices=["auto", "numba", "reference", "mega"],
                    default="auto",

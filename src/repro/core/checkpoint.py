@@ -11,12 +11,13 @@ accumulated wall clock.
 
 The format is deliberately backend-neutral: the ring is stored as
 ``(layer, row, action, next_row, reward)`` rows in slot order — the
-column layout of the mega SoA ring — and each backend exports/imports
-its own representation losslessly (``export_ring``/``import_ring`` on
-the runners, the per-seed slicing helpers below for
-:class:`~repro.core.kernels.mega.MegaState`).  A checkpoint captured
-under one kernel backend therefore resumes under any other, and the
-result is still bitwise equal (the backends run identical arithmetic).
+column layout of the mega SoA ring — and each runner kind (see
+:mod:`repro.core.search`) exports/imports its own representation
+losslessly through ``export_seed``/``import_seed``.  A checkpoint
+captured under one kind or kernel backend therefore resumes under any
+other, and the result is still bitwise equal (they all run identical
+arithmetic).  Resume checks every snapshot against the resuming
+search (:func:`seed_state`) before any kind sees it.
 
 Serialization is plain JSON: Python emits shortest-round-trip float
 literals, so every double survives encode/decode bit-for-bit (the same
@@ -72,8 +73,7 @@ def set_rng_state(rng, state: dict) -> None:
 
 def seed_snapshot(
     seed: int,
-    qtable,
-    runner,
+    state,
     policy_rng,
     replay_rng,
     best_total: float,
@@ -82,94 +82,17 @@ def seed_snapshot(
 ) -> dict:
     """Capture one seed's complete search state.
 
-    Flushes the runner's backend-local state into the QTable's flat
-    arrays first (``finalize()`` is idempotent on every backend), then
-    copies the flat Q block, the canonical ring rows, both RNG states
-    and the best-so-far tracking.
+    ``state`` is the seed's ``(q, row_max, visited, ring)`` as a runner
+    kind exports it: the flat arrays of :meth:`QTable.flat` and the
+    canonical ring rows (None with replay off).  The snapshot copies
+    them along with both RNG states and the best-so-far tracking.
     """
-    runner.finalize()
-    flat = qtable.flat()
+    q, row_max, visited, ring = state
     return {
         "seed": int(seed),
-        "q": flat.data.tolist(),
-        "row_max": flat.row_max.tolist(),
-        "visited": [bool(v) for v in flat.visited.tolist()],
-        "ring": runner.export_ring(),
-        "policy_rng": rng_state(policy_rng),
-        "replay_rng": rng_state(replay_rng),
-        "best_total": float(best_total),
-        "best_choices": (
-            [int(c) for c in best_choices] if best_choices is not None else None
-        ),
-        "curve": [float(c) for c in curve],
-    }
-
-
-def restore_seed_arrays(snap: dict, qtable) -> None:
-    """Write a seed snapshot's Q block back into a fresh QTable.
-
-    Must run **before** ``make_runner``: the reference backend mirrors
-    the flat arrays into Python lists at construction, so restoring
-    first makes every backend start from the checkpointed state.
-    """
-    flat = qtable.flat()
-    data = np.asarray(snap["q"], dtype=np.float64)
-    row_max = np.asarray(snap["row_max"], dtype=np.float64)
-    if data.shape != flat.data.shape or row_max.shape != flat.row_max.shape:
-        raise CheckpointError(
-            "checkpoint Q block does not match this search's layout "
-            f"(got {data.shape[0]}/{row_max.shape[0]} entries, table has "
-            f"{flat.data.shape[0]}/{flat.row_max.shape[0]})"
-        )
-    flat.data[:] = data
-    flat.row_max[:] = row_max
-    if flat.visited.shape[0]:
-        visited = np.asarray(snap["visited"], dtype=np.bool_)
-        if visited.shape != flat.visited.shape:
-            raise CheckpointError(
-                "checkpoint visited flags do not match this search's layout"
-            )
-        flat.visited[:] = visited
-
-
-# -- mega SoA snapshots ---------------------------------------------------
-
-
-def mega_seed_snapshot(
-    state,
-    s: int,
-    seed: int,
-    policy_rng,
-    replay_rng,
-    best_total: float,
-    best_choices,
-    curve: list[float],
-) -> dict:
-    """One seed's snapshot sliced out of a :class:`MegaState`.
-
-    The mega arrays already hold every seed's state in the canonical
-    flat layout (``q[s]`` *is* the seed's ``QTable.flat().data``), so
-    capture is pure slicing — no kernel round-trip.
-    """
-    if state.replay_enabled:
-        ring_rows = [
-            [
-                int(state.ring[s, t, 0]),
-                int(state.ring[s, t, 1]),
-                int(state.ring[s, t, 2]),
-                int(state.ring[s, t, 3]),
-                float(state.ring[s, t, 4]),
-            ]
-            for t in range(state.fill)
-        ]
-        ring = {"rows": ring_rows, "fill": int(state.fill), "pos": int(state.pos)}
-    else:
-        ring = None
-    return {
-        "seed": int(seed),
-        "q": state.q[s].tolist(),
-        "row_max": state.row_max[s].tolist(),
-        "visited": [bool(v) for v in state.visited[s].tolist()],
+        "q": q.tolist(),
+        "row_max": row_max.tolist(),
+        "visited": [bool(v) for v in visited.tolist()],
         "ring": ring,
         "policy_rng": rng_state(policy_rng),
         "replay_rng": rng_state(replay_rng),
@@ -181,33 +104,52 @@ def mega_seed_snapshot(
     }
 
 
-def restore_mega_seed(snap: dict, state, s: int) -> None:
-    """Write one seed snapshot into row ``s`` of a fresh MegaState.
+def seed_state(
+    snap: dict,
+    *,
+    sizes: tuple[int, int, int],
+    replay_capacity: int | None,
+    episode: int,
+    num_layers: int,
+) -> tuple:
+    """One seed snapshot's ``(q, row_max, visited, ring)``, checked
+    against the search that resumes it, or :class:`CheckpointError`.
 
-    The lockstep fill/pos counters are shared across seeds; the caller
-    restores them once from any member snapshot (they are identical in
-    every seed of a lockstep checkpoint by construction).
+    ``sizes`` are the search's flat Q, row-max and visited lengths;
+    ``replay_capacity`` is None when it runs without replay.  A ring
+    must be present exactly when replay is on, and must be the ring
+    ``episode`` episodes of ``num_layers`` pushes leave behind in a
+    ring of that capacity: anything else was captured under another
+    configuration and would resume into a run that never existed.
     """
     q = np.asarray(snap["q"], dtype=np.float64)
     row_max = np.asarray(snap["row_max"], dtype=np.float64)
-    if q.shape != state.q[s].shape or row_max.shape != state.row_max[s].shape:
+    visited = np.asarray(snap["visited"], dtype=np.bool_)
+    got = (q.shape, row_max.shape, visited.shape)
+    if got != tuple((n,) for n in sizes):
         raise CheckpointError(
-            "checkpoint Q block does not match this sweep's layout"
+            "checkpoint Q block does not match this search's layout "
+            f"(got Q/row-max/visited shapes {got}, the search has "
+            f"lengths {tuple(sizes)})"
         )
-    state.q[s] = q
-    state.row_max[s] = row_max
-    if state.visited.shape[1]:
-        state.visited[s] = np.asarray(snap["visited"], dtype=np.bool_)
     ring = snap.get("ring")
-    if ring is not None and state.replay_enabled:
-        for t, row in enumerate(ring["rows"]):
-            state.ring[s, t, 0] = row[0]
-            state.ring[s, t, 1] = row[1]
-            state.ring[s, t, 2] = row[2]
-            state.ring[s, t, 3] = row[3]
-            state.ring[s, t, 4] = row[4]
-        state.fill = int(ring["fill"])
-        state.pos = int(ring["pos"])
+    if (ring is None) != (replay_capacity is None):
+        raise CheckpointError(
+            f"checkpoint was captured with replay {'off' if ring is None else 'on'}, "
+            f"this search runs replay {'off' if replay_capacity is None else 'on'}"
+        )
+    if ring is not None:
+        pushed = episode * num_layers
+        expected = (min(pushed, replay_capacity), pushed % replay_capacity)
+        found = (ring["fill"], ring["pos"])
+        if found != expected or len(ring["rows"]) != ring["fill"]:
+            raise CheckpointError(
+                f"checkpoint replay ring (fill/pos {found}, "
+                f"{len(ring['rows'])} rows) is not what {episode} episodes "
+                f"leave in a {replay_capacity}-transition ring "
+                f"(fill/pos {expected})"
+            )
+    return q, row_max, visited, ring
 
 
 # -- the run-level envelope ----------------------------------------------

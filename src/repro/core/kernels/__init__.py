@@ -21,13 +21,19 @@ the same Q tables, the same ``best_ms``, and the same per-episode
 curves (property-tested in ``tests/test_core_kernels.py``).
 
 A third spelling, ``mega``, names the structure-of-arrays multi-seed
-path (:mod:`repro.core.kernels.mega`): one ``numba.prange`` dispatch
-per episode running *all* K seeds, built from the very same scalar
-kernels as the per-seed numba backend.  ``mega`` is a routing choice,
-not a third arithmetic: in scalar contexts (single-seed searches) it
-resolves to the per-seed backend, and ``MultiSeedSearch`` auto-routes
-K >= :data:`MEGA_SEED_THRESHOLD` sweeps through it whenever numba is
-available (see :func:`mega_selected`).
+runner kind (:mod:`repro.core.kernels.mega`): one ``numba.prange``
+dispatch per episode running *all* K seeds, built from the very same
+scalar kernels as the per-seed numba backend.  ``mega`` is a routing
+choice, not a third arithmetic: in scalar contexts (single-seed
+searches) it resolves to the per-seed backend, and ``MultiSeedSearch``
+auto-routes K >= :data:`MEGA_SEED_THRESHOLD` sweeps through it
+whenever numba is available (see :func:`mega_selected`).
+
+Searches never step runners directly: the one episode loop
+(:func:`repro.core.search.run_episodes`) drives a *runner kind* — K
+per-seed runners (:class:`~repro.core.search.ScalarKind`), a numpy
+seed batch, or :class:`~repro.core.kernels.mega.MegaState` — and the
+scalar kind makes exactly the runner calls below.
 
 Backend selection: an explicit name always wins; ``"auto"`` honors the
 ``REPRO_KERNEL_BACKEND`` environment variable and otherwise picks
@@ -63,10 +69,10 @@ The runner protocol (both backends):
   when replay is disabled.  Import runs against a freshly built
   runner whose QTable was already restored.
 
-Randomness never crosses the kernel boundary: the driver draws every
-episode's exploration mask, uniform actions, and replay permutation
-from the same named RNG streams as always and hands them in, so both
-backends consume byte-identical entropy.
+Randomness never crosses the kernel boundary: the episode loop draws
+every episode's exploration mask and uniform actions, and
+``draw_replay_order`` the replay permutation, from the same named RNG
+streams as always, so both backends consume byte-identical entropy.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ single-seed :class:`~repro.core.search.QSDNNSearch` run — bit-identity
 per seed is inherited, not re-proven.
 
 Seeds advance in lockstep, so the replay ring's fill/position counters
-are identical across seeds and live as two Python scalars in the
-driver (:meth:`MegaState.advance_ring`), not per-seed state.
+are identical across seeds and live as two Python scalars on the state
+(:meth:`MegaState.advance_ring`), not per seed.  :class:`MegaState` is
+the ``mega`` runner kind of :func:`repro.core.search.run_episodes`,
+which draws every seed's entropy and owns everything but the arrays.
 
 Without numba the ``njit`` decorator degrades to a no-op and
 ``prange`` to ``range``: the kernels run as plain Python over the same
@@ -47,6 +49,7 @@ from repro.core.kernels.numba_backend import (
     _price,
     _rollout,
 )
+from repro.core.priors import prior_row_max
 from repro.core.qtable import QTable
 
 try:
@@ -237,22 +240,24 @@ def ensure_warm() -> None:
         )
         explored = np.zeros((2, 2), dtype=np.int64)
         perm = np.zeros((2, 1), dtype=np.int64)
-        state.episode(_MODE_EXPLORE, None, explored, perm)
-        state.rollout_price(_MODE_GREEDY, None, None)
+        state.episode(None, explored, perm)
+        state.rollout_price(None, None)
         state.learn(np.zeros((2, 2), dtype=np.float64), None)
         state.greedy_choices()
     _warmed = True
 
 
 class MegaState:
-    """The structure-of-arrays state of K lockstep seeds plus the
-    dispatch surface of the mega kernels.
+    """The structure-of-arrays state of K lockstep seeds: the ``mega``
+    runner kind of :func:`repro.core.search.run_episodes`.
 
     Construction mirrors K independent :class:`QTable` instances: a
     single template table supplies the flat layout (offsets, initial
     zeros), tiled along a leading seed axis.  All dispatch methods
     mutate the arrays in place.
     """
+
+    backend = "mega"
 
     def __init__(
         self,
@@ -277,6 +282,7 @@ class MegaState:
         ).flat()
         self.num_seeds = num_seeds
         self.num_layers = len(num_actions)
+        self._layout = (list(num_actions), list(row_sizes))
         self.q_offsets = template.q_offsets
         self.rm_offsets = template.rm_offsets
         self.num_actions = template.num_actions
@@ -305,31 +311,41 @@ class MegaState:
         self.ring = np.zeros(
             (num_seeds, max(replay_capacity, 1), 5), dtype=np.float64
         )
+        self._perm = (
+            np.empty((num_seeds, replay_capacity), dtype=np.int64)
+            if replay_enabled
+            else None
+        )
+        self._iota = np.arange(replay_capacity, dtype=np.int64)
         #: Lockstep ring counters — identical across seeds by
         #: construction, so they live once, not per seed.
         self.fill = 0
         self.pos = 0
 
-    def _decision_args(self, explore2, explored2):
-        return (
-            explore2 if explore2 is not None else _EMPTY_BOOL_2D,
-            explored2 if explored2 is not None else _EMPTY_I64_2D,
-        )
+    @staticmethod
+    def _decision_args(explore2, explored2):
+        if explored2 is None:
+            return _MODE_GREEDY, _EMPTY_BOOL_2D, _EMPTY_I64_2D
+        if explore2 is None:
+            return _MODE_EXPLORE, _EMPTY_BOOL_2D, explored2
+        return _MODE_MIXED, explore2, explored2
 
-    def rollout(self, mode: int, explore2, explored2) -> np.ndarray:
-        """One decision walk per seed; fills and returns ``choices``."""
-        flags, picks = self._decision_args(explore2, explored2)
-        _mega_rollout(
-            self.q, self.row_max, self.visited,
-            self.q_offsets, self.rm_offsets, self.num_actions,
-            self.q_parent, self.fvb, mode, flags, picks,
-            self.choices, self.rows,
-        )
-        return self.choices
+    def replay_orders(self, replay_rngs):
+        """Every seed's replay order over its ring as it will stand
+        after the next episode's pushes, shuffled per seed exactly like
+        ``draw_replay_order`` (None with replay off)."""
+        if not self.replay_enabled:
+            return None
+        stored = min(self.fill + self.num_layers, self.capacity)
+        orders = self._perm[:, :stored]
+        for row, rng in zip(orders, replay_rngs):
+            row[:] = self._iota[:stored]
+            rng.shuffle(row)
+        return orders
 
-    def rollout_price(self, mode: int, explore2, explored2) -> np.ndarray:
+    def rollout_price(self, explore2, explored2) -> np.ndarray:
         """Rollout plus per-seed shaped cost vectors (``(K, L)``)."""
-        flags, picks = self._decision_args(explore2, explored2)
+        mode, flags, picks = self._decision_args(explore2, explored2)
         _mega_rollout_price(
             self.q, self.row_max, self.visited,
             self.q_offsets, self.rm_offsets, self.num_actions,
@@ -349,9 +365,9 @@ class MegaState:
         )
         self.advance_ring()
 
-    def episode(self, mode: int, explore2, explored2, perm2) -> np.ndarray:
+    def episode(self, explore2, explored2, perm2) -> np.ndarray:
         """The fully fused episode (rewards = -costs); returns costs."""
-        flags, picks = self._decision_args(explore2, explored2)
+        mode, flags, picks = self._decision_args(explore2, explored2)
         _mega_episode(
             self.q, self.row_max, self.visited,
             self.q_offsets, self.rm_offsets, self.num_actions,
@@ -372,11 +388,39 @@ class MegaState:
         self.fill = min(self.fill + self.num_layers, self.capacity)
         self.pos = (self.pos + self.num_layers) % self.capacity
 
-    def stored(self) -> int:
-        """Ring occupancy as it will stand *after* the next episode's
-        pushes — the length of the replay permutation to draw (the
-        mega twin of ``NumbaRunner.draw_replay_order``'s ``stored``)."""
-        return min(self.fill + self.num_layers, self.capacity)
+    def snapshot(self, s: int) -> np.ndarray:
+        """A copy of seed ``s``'s current choices."""
+        return self.choices[s].copy()
+
+    def export_seed(self, s: int):
+        """Seed ``s``'s state: ``q[s]`` *is* its flat ``QTable`` block,
+        so export is pure slicing."""
+        ring = None
+        if self.replay_enabled:
+            rows = [
+                [int(i), int(row), int(a), int(nr), float(reward)]
+                for i, row, a, nr, reward in self.ring[s, : self.fill].tolist()
+            ]
+            ring = {"rows": rows, "fill": int(self.fill), "pos": int(self.pos)}
+        return self.q[s], self.row_max[s], self.visited[s], ring
+
+    def import_seed(self, s: int, q, row_max, visited, ring) -> None:
+        """Write one seed's flat state (and the shared ring counters)."""
+        self.q[s] = q
+        self.row_max[s] = row_max
+        self.visited[s] = visited
+        if ring is not None:
+            # fill/pos are a function of the episode index (checked on
+            # resume), so every seed restores the same counters.
+            self.ring[s, : ring["fill"]] = np.reshape(ring["rows"], (-1, 5))
+            self.fill = int(ring["fill"])
+            self.pos = int(ring["pos"])
+
+    def load_prior(self, values: np.ndarray) -> None:
+        """Tile one flat prior block across the seed axis — exactly
+        what K independent ``QTable.load_prior`` calls would write."""
+        self.q[:] = values
+        self.row_max[:] = prior_row_max(values, *self._layout)
 
     def greedy_choices(self) -> np.ndarray:
         """Every seed's fully-greedy decision walk over the final Q
@@ -390,10 +434,4 @@ class MegaState:
         return self.choices
 
 
-__all__ = [
-    "MegaState",
-    "ensure_warm",
-    "_MODE_GREEDY",
-    "_MODE_EXPLORE",
-    "_MODE_MIXED",
-]
+__all__ = ["MegaState", "ensure_warm"]

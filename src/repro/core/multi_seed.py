@@ -1,56 +1,47 @@
-"""Vectorized multi-seed QS-DNN: K independent searches in lockstep.
+"""Multi-seed QS-DNN: K independent searches in lockstep.
 
 Robustness sweeps and portfolio searches run the same
-(network, platform, mode) scenario under many seeds.  Run naively that
-costs K full searches; run in *lockstep* the K searches advance
-episode-by-episode together, sharing one compiled
-:class:`~repro.engine.pricing.CostEngine` and pricing all K rollouts of
-each episode step in a single
-:meth:`~repro.engine.pricing.CostEngine.layer_costs_batch` call instead
-of K scalar ones.  On top of the batched pricing the lockstep loop
+(network, platform, mode) scenario under many seeds.
+:class:`MultiSeedSearch` advances the K searches episode by episode
+through the one episode loop of :func:`repro.core.search.run_episodes`,
+which draws each seed's randomness from the *same* named streams as a
+single-seed :class:`~repro.core.search.QSDNNSearch` — so every member's
+``best_ms``, curve and final Q state are bit-identical to an
+independent run with its seed (exactness contract 4, property-tested).
 
-* draws each seed's episode randomness from the *same* named streams as
-  :class:`~repro.core.search.QSDNNSearch` (policy and replay streams,
-  identical call sequence), so every seed's trajectory — and therefore
-  its ``best_ms`` — is bit-identical to an independent single-seed
-  ``run()`` with that seed;
-* vectorizes the decision pass of full-exploration episodes (the first
-  half of the paper's schedule) across layers, skipping the Python
-  per-layer loop entirely;
-* runs each seed's eq. (2) online sweep and replay chain through a
-  per-seed episode kernel (:mod:`repro.core.kernels`): one compiled
-  call per (seed, episode) on the numba backend, the bit-identical
-  pure-Python reference backend otherwise.
+What differs between sweeps is the runner kind that does the episode
+arithmetic, chosen by one rule:
 
-Exactness is the contract: the lockstep fast path reproduces the exact
-per-seed results of K independent runs (property-tested), it just
-amortizes the work.  Experience replay is an inherently sequential
-per-seed update chain, so replay-enabled configs run the kernel-fused
-path (batched pricing + per-seed kernels) — as does
-``first_visit_bootstrap``, whose visit bookkeeping the kernels carry
-natively; with replay disabled and plain eq. (2) the runner prices and
-learns nearly everything batched across seeds and K=8 seeds cost well
-under half of 8 independent runs.
+* ``mega`` (:class:`~repro.core.kernels.mega.MegaState`) when
+  :func:`~repro.core.kernels.mega_selected` says so — an explicit
+  ``kernel="mega"``, or ``"auto"`` with numba and K >= 64;
+* ``vectorized`` (:class:`VectorizedKind`) for replay off, plain
+  eq. (2) and the reference backend: it prices all K rollouts in one
+  :meth:`~repro.engine.pricing.CostEngine.layer_costs_batch` call and
+  batches the learning pass across seeds and layers in numpy, which
+  makes K=8 seeds cost well under 8 independent runs;
+* ``scalar`` (:class:`~repro.core.search.ScalarKind`) otherwise: K
+  per-seed kernel runners stepped exactly as K single-seed searches
+  would step them.  Replay and the first-visit bootstrap are
+  sequential per-seed update chains that batching across seeds does
+  not speed up, and under numba one compiled call per seed and
+  episode beats numpy seed-batching.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core import checkpoint as ckpt_mod
 from repro.core.config import SearchConfig
-from repro.core.kernels import make_runner, mega_selected, resolve_backend
-from repro.core.polish import coordinate_descent
-from repro.core.priors import prior_row_max
-from repro.core.qtable import QTable
+from repro.core.kernels import mega_selected, resolve_backend
+from repro.core.priors import prior_row_max, q_layout
 from repro.core.result import SearchResult
+from repro.core.search import ScalarKind, run_episodes
 from repro.engine.lut import LatencyTable
-from repro.errors import ConfigError, PreemptedError
-from repro.utils.rng import RngStream
+from repro.errors import ConfigError
 from repro.utils.units import format_ms
 
 
@@ -68,8 +59,9 @@ class MultiSeedResult:
     ``results[i]`` is seed ``seeds[i]``'s :class:`SearchResult`,
     bit-identical to an independent single-seed run; each carries an
     equal share of the total wall clock.  ``batched_pricings`` counts
-    the engine calls the lockstep loop issued (one per episode step,
-    regardless of K).
+    the lockstep episode steps, one per episode whatever K (the store
+    codec keeps the name; only the vectorized kind prices a step's K
+    rollouts in one engine call).
     """
 
     results: list[SearchResult]
@@ -111,31 +103,6 @@ class MultiSeedResult:
         )
 
 
-class _SeedState:
-    """Per-seed mutable search state of the lockstep loop."""
-
-    __slots__ = (
-        "seed",
-        "qtable",
-        "runner",
-        "policy_rng",
-        "replay_rng",
-        "best_total",
-        "best_choices",
-        "curve",
-    )
-
-    def __init__(self, seed, qtable, runner, policy_rng, replay_rng):
-        self.seed = seed
-        self.qtable = qtable
-        self.runner = runner
-        self.policy_rng = policy_rng
-        self.replay_rng = replay_rng
-        self.best_total = np.inf
-        self.best_choices = None
-        self.curve: list[float] = []
-
-
 class MultiSeedSearch:
     """K independent QS-DNN searches over one LUT, run in lockstep.
 
@@ -173,808 +140,263 @@ class MultiSeedSearch:
         :meth:`QSDNNSearch.run`, with the whole lockstep sweep captured
         in one checkpoint (one snapshot per seed).
         """
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        anytime = bool(checkpoint_every and on_checkpoint) or resume is not None
-        # Warm start: resolve the prior once per sweep — every seed
-        # loads the same block, exactly what its independent
-        # single-seed run would load (lockstep == independent).  A
-        # resumed sweep never re-applies priors: the snapshots' Q
-        # blocks already carry them.
-        prior_values = None
-        if (
-            resume is None
-            and self.config.warm_start != "off"
-            and self.prior is not None
-        ):
-            prior_values = self.prior.prior_for(
-                self.lut, self.config.discount
-            )
-        if mega_selected(self.config.kernel, len(self.seeds)):
-            # The structure-of-arrays path: one prange dispatch per
-            # episode runs all K seeds (explicit --kernel mega, or
-            # auto with K >= MEGA_SEED_THRESHOLD under numba).
-            return self._run_mega(
-                checkpoint_every, on_checkpoint, resume, prior_values
-            )
-        if (
-            self.config.replay_enabled
-            or self.config.first_visit_bootstrap
-            or resolve_backend(self.config.kernel) == "numba"
-            or anytime
-            or prior_values is not None
-        ):
-            # Replay is a sequential per-seed update chain (each replayed
-            # transition bootstraps from the chain so far) and the
-            # first-visit bootstrap tracks per-entry visit state — both
-            # run per-seed episode kernels behind one batched pricing
-            # call per episode.  With the numba backend the compiled
-            # kernels beat numpy seed-batching on every config, so all
-            # configs route through them.  Anytime runs (checkpointing
-            # or resuming) also route here: the fused path is bitwise
-            # equal to the vectorized one (the existing exactness
-            # contract) and its per-seed runners carry the canonical
-            # checkpoint state.  Warm-started runs route here too —
-            # the per-seed QTables take the prior block directly.
-            return self._run_lockstep_fused(
-                checkpoint_every, on_checkpoint, resume, prior_values
-            )
-        return self._run_lockstep_vectorized()
+        #: Test hook: the runner kind, holding the final search state.
+        self._kind = self._runner_kind()
+        results, steps, wall = run_episodes(
+            self,
+            self._kind,
+            self.seeds,
+            "multi-seed",
+            checkpoint_every,
+            on_checkpoint,
+            resume,
+        )
+        return MultiSeedResult(
+            results=results, wall_clock_s=wall, batched_pricings=steps
+        )
 
-    # -- the lockstep kernel-fused path (replay on / first-visit) ------------
-
-    def _run_lockstep_fused(
-        self,
-        checkpoint_every: int | None = None,
-        on_checkpoint=None,
-        resume: dict | None = None,
-        prior_values: np.ndarray | None = None,
-    ) -> MultiSeedResult:
+    def _runner_kind(self):
+        """The routing rule of the module docstring."""
         cfg = self.config
-        idx = self.indexed
-        engine = self.engine
-        num_layers = len(idx)
-        action_counts = np.asarray(idx.num_actions, dtype=np.int64)
-        q_parent = idx.q_parent
-        row_sizes = [
-            1 if parent < 0 else int(idx.num_actions[parent])
-            for parent in q_parent
-        ]
-        backend = resolve_backend(cfg.kernel)
-        if resume is not None:
-            ckpt_mod.check_resume(
-                resume,
-                kind="multi-seed",
-                graph=self.lut.graph_name,
-                mode=self.lut.mode,
-                episodes=cfg.episodes,
-                seeds=self.seeds,
-                warm_start=cfg.warm_start,
-            )
+        num_seeds = len(self.seeds)
+        if mega_selected(cfg.kernel, num_seeds):
+            from repro.core.kernels import mega
 
-        states: list[_SeedState] = []
-        for s, seed in enumerate(self.seeds):
-            stream = RngStream(seed, "qsdnn", self.lut.graph_name, self.lut.mode)
-            qtable = QTable(
-                list(idx.num_actions),
-                cfg.learning_rate,
-                cfg.discount,
+            mega.ensure_warm()
+            num_actions, row_sizes = q_layout(self.indexed)
+            views = self.engine.kernel_views()
+            return mega.MegaState(
+                num_seeds=num_seeds,
+                num_actions=num_actions,
                 row_sizes=row_sizes,
+                q_parent=np.asarray(self.indexed.q_parent, dtype=np.int64),
+                pricing=views[:6],
+                max_actions=views[6],
+                learning_rate=cfg.learning_rate,
+                discount=cfg.discount,
                 first_visit_bootstrap=cfg.first_visit_bootstrap,
+                replay_enabled=cfg.replay_enabled,
+                replay_capacity=cfg.replay_capacity,
             )
-            if resume is not None:
-                # Before make_runner: the reference backend mirrors the
-                # flat arrays at construction.
-                ckpt_mod.restore_seed_arrays(resume["seeds"][s], qtable)
-            elif prior_values is not None:
-                # Same ordering constraint as resume: load before the
-                # runner mirrors the flat arrays.
-                qtable.load_prior(prior_values)
-            state = _SeedState(
-                seed,
-                qtable,
-                make_runner(
-                    engine,
-                    qtable,
-                    q_parent,
-                    replay_enabled=cfg.replay_enabled,
-                    replay_capacity=cfg.replay_capacity,
-                    backend=backend,
-                ),
-                stream.child("policy"),
-                stream.child("replay"),
-            )
-            if resume is not None:
-                snap = resume["seeds"][s]
-                state.runner.import_ring(snap["ring"])
-                ckpt_mod.set_rng_state(state.policy_rng, snap["policy_rng"])
-                ckpt_mod.set_rng_state(state.replay_rng, snap["replay_rng"])
-                state.best_total = snap["best_total"]
-                state.best_choices = snap["best_choices"]
-                state.curve = list(snap["curve"])
-            states.append(state)
+        if (
+            not cfg.replay_enabled
+            and not cfg.first_visit_bootstrap
+            and resolve_backend(cfg.kernel) == "reference"
+        ):
+            return VectorizedKind(self.engine, self.indexed, cfg, num_seeds)
+        return ScalarKind(self.engine, self.indexed, cfg, num_seeds)
 
-        shaping = cfg.reward_shaping
-        track_curve = cfg.track_curve
-        epsilon_for = cfg.epsilon.epsilon_for
-        num_seeds = len(states)
 
-        batch = np.empty((num_seeds, num_layers), dtype=np.int64)
-        epsilon_trace: list[float] = []
-        batched_pricings = 0
-        start_episode = 0
-        elapsed_s = 0.0
-        if resume is not None:
-            epsilon_trace = list(resume["epsilon_trace"])
-            start_episode = int(resume["episode"])
-            elapsed_s = float(resume.get("elapsed_s", 0.0))
-        started = time.perf_counter()
+class VectorizedKind:
+    """K replay-off, plain-eq. (2) seeds as one dense numpy batch.
 
-        for episode in range(start_episode, cfg.episodes):
-            epsilon = epsilon_for(episode)
-            # -- decision pass (per seed, same RNG calls as QSDNNSearch)
-            full_explore = epsilon >= 1.0
-            full_exploit = epsilon <= 0.0
-            for s, state in enumerate(states):
-                if full_explore:
-                    explore = None
-                    explored = state.policy_rng.integers(0, action_counts)
-                elif full_exploit:
-                    explore = None
-                    explored = None
-                else:
-                    rng = state.policy_rng
-                    explore = rng.random(num_layers) < epsilon
-                    explored = rng.integers(0, action_counts)
-                state.runner.rollout(explore, explored)
-                batch[s] = state.runner.choices
-            # -- pricing pass: all K rollouts in one engine call
-            costs = engine.layer_costs_batch(batch, checked=False)
-            totals = costs.sum(axis=1).tolist()
-            rewards_batch = -costs if shaping else None
-            batched_pricings += 1
-            # -- learning pass: one fused kernel call per seed
-            for s, state in enumerate(states):
-                total = totals[s]
-                if rewards_batch is not None:
-                    rewards = rewards_batch[s]
-                else:
-                    rewards = np.zeros(num_layers, dtype=np.float64)
-                    rewards[num_layers - 1] = -total
-                perm = state.runner.draw_replay_order(state.replay_rng)
-                state.runner.learn(rewards, perm)
-                if total < state.best_total:
-                    state.best_total = total
-                    state.best_choices = state.runner.snapshot()
-                if track_curve:
-                    state.curve.append(total)
-            if track_curve:
-                epsilon_trace.append(epsilon)
-            # -- anytime checkpoint (episode boundary; draws no RNG)
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and (episode + 1) % checkpoint_every == 0
-                and episode + 1 < cfg.episodes
-            ):
-                snapshot = ckpt_mod.build_checkpoint(
-                    kind="multi-seed",
-                    graph=self.lut.graph_name,
-                    mode=self.lut.mode,
-                    episodes=cfg.episodes,
-                    episode=episode + 1,
-                    kernel=cfg.kernel,
-                    elapsed_s=elapsed_s + (time.perf_counter() - started),
-                    epsilon_trace=epsilon_trace,
-                    warm_start=cfg.warm_start,
-                    seed_snaps=[
-                        ckpt_mod.seed_snapshot(
-                            state.seed,
-                            state.qtable,
-                            state.runner,
-                            state.policy_rng,
-                            state.replay_rng,
-                            state.best_total,
-                            state.best_choices,
-                            state.curve,
-                        )
-                        for state in states
-                    ],
-                )
-                if on_checkpoint(snapshot) is False:
-                    raise PreemptedError(snapshot)
+    Within one episode the online eq. (2) updates are
+    order-independent: the update of layer ``i`` bootstraps from
+    layer ``i + 1``'s row max, which this episode only writes
+    *after* reading (the reference loop runs in ascending layer
+    order), and every (seed, layer) pair is updated exactly once.
+    All ``K x L`` updates of an episode therefore batch into a
+    handful of flat-array numpy operations while reproducing the
+    sequential reference bit-for-bit.
 
-        # -- per-seed finalization (polish, greedy policy, packaging)
-        results = []
-        for state in states:
-            state.runner.finalize()
-            assert state.best_choices is not None
-            best_choices = np.asarray(state.best_choices, dtype=np.int64)
-            best_total = state.best_total
-            if cfg.polish_sweeps > 0:
-                best_choices, best_total = coordinate_descent(
-                    engine, best_choices, max_sweeps=cfg.polish_sweeps
-                )
-            greedy_ms = engine.price(
-                state.qtable.greedy_rollout(parents=q_parent)
-            )
-            results.append(
-                SearchResult(
-                    graph_name=self.lut.graph_name,
-                    method="qs-dnn",
-                    best_assignments=engine.assignments(best_choices),
-                    best_ms=float(best_total),
-                    episodes=cfg.episodes,
-                    curve_ms=state.curve,
-                    epsilon_trace=list(epsilon_trace) if track_curve else [],
-                    config=replace(cfg, seed=state.seed),
-                    greedy_ms=float(greedy_ms),
-                    kernel_backend=backend,
-                    warm_start=cfg.warm_start,
-                )
-            )
-        wall = elapsed_s + (time.perf_counter() - started)
-        for result in results:
-            result.wall_clock_s = wall / num_seeds
-        return MultiSeedResult(
-            results=results,
-            wall_clock_s=wall,
-            batched_pricings=batched_pricings,
-            lockstep=True,
-        )
+    Q lives in a dense ``(K, L, R, A)`` block padded with -inf (so
+    row-wise rescans ignore the padding); :meth:`export_seed` and
+    :meth:`import_seed` translate a seed's slice to and from the flat
+    :meth:`~repro.core.qtable.QTable.flat` layout.  Greedy decisions
+    never scan Q rows: an argmax cache per (seed, layer, row) is
+    maintained under the exact ``values.index(row_max)`` first-index
+    semantics of :meth:`QTable.greedy_action`, mirrored into nested
+    Python lists (lazily, on the first non-exploration episode) for
+    fast scalar reads in the sequential decision walk.
+    """
 
-    # -- the mega SoA path (K seeds per kernel dispatch) --------------------
+    backend = "vectorized"
 
-    def _run_mega(
-        self,
-        checkpoint_every: int | None = None,
-        on_checkpoint=None,
-        resume: dict | None = None,
-        prior_values: np.ndarray | None = None,
-    ) -> MultiSeedResult:
-        """Run all K seeds as structure-of-arrays mega-kernel dispatches.
-
-        One :class:`~repro.core.kernels.mega.MegaState` holds every
-        seed's flat Q block, row-max cache and replay ring along a
-        leading seed axis; each episode issues a single fused kernel
-        call (two when reward shaping is off, which needs the totals
-        before learning — same split as ``QSDNNSearch``).  The driver
-        keeps every random draw per seed, in the exact stream order of
-        an independent single-seed run: consecutive full-exploration
-        episodes block-draw per seed (a row-major ``(run, L)`` block is
-        bitwise the same stream as ``run`` per-episode draws), mixed
-        episodes draw per (seed, episode), exploitation draws nothing,
-        and replay permutations shuffle a per-seed scratch row exactly
-        like ``draw_replay_order``.
-        """
-        from repro.core.kernels import mega as mega_kernels
-
-        cfg = self.config
-        idx = self.indexed
-        engine = self.engine
-        num_layers = len(idx)
-        num_seeds = len(self.seeds)
-        action_counts = np.asarray(idx.num_actions, dtype=np.int64)
-        q_parent = np.asarray(idx.q_parent, dtype=np.int64)
-        row_sizes = [
-            1 if parent < 0 else int(idx.num_actions[parent])
-            for parent in idx.q_parent
-        ]
-        views = engine.kernel_views()
-        mega_kernels.ensure_warm()
-        state = mega_kernels.MegaState(
-            num_seeds=num_seeds,
-            num_actions=list(idx.num_actions),
-            row_sizes=row_sizes,
-            q_parent=q_parent,
-            pricing=views[:6],
-            max_actions=views[6],
-            learning_rate=cfg.learning_rate,
-            discount=cfg.discount,
-            first_visit_bootstrap=cfg.first_visit_bootstrap,
-            replay_enabled=cfg.replay_enabled,
-            replay_capacity=cfg.replay_capacity,
-        )
-
-        streams = [
-            RngStream(seed, "qsdnn", self.lut.graph_name, self.lut.mode)
-            for seed in self.seeds
-        ]
-        policy_rngs = [s.child("policy") for s in streams]
-        replay_rngs = [s.child("replay") for s in streams]
-
-        if resume is not None:
-            ckpt_mod.check_resume(
-                resume,
-                kind="multi-seed",
-                graph=self.lut.graph_name,
-                mode=self.lut.mode,
-                episodes=cfg.episodes,
-                seeds=self.seeds,
-                warm_start=cfg.warm_start,
-            )
-            for s in range(num_seeds):
-                snap = resume["seeds"][s]
-                ckpt_mod.restore_mega_seed(snap, state, s)
-                ckpt_mod.set_rng_state(policy_rngs[s], snap["policy_rng"])
-                ckpt_mod.set_rng_state(replay_rngs[s], snap["replay_rng"])
-        elif prior_values is not None:
-            # Tile the prior block across the seed axis — ``q[s]`` is
-            # each seed's flat ``QTable`` block, so this is exactly
-            # what K independent ``load_prior`` calls would write.
-            prior_rm = prior_row_max(
-                prior_values, list(idx.num_actions), row_sizes
-            )
-            for s in range(num_seeds):
-                state.q[s] = prior_values
-                state.row_max[s] = prior_rm
-
-        shaping = cfg.reward_shaping
-        track_curve = cfg.track_curve
-        eps_list = [cfg.epsilon.epsilon_for(e) for e in range(cfg.episodes)]
-
-        explored_buf = np.empty((num_seeds, num_layers), dtype=np.int64)
-        explore_buf = np.empty((num_seeds, num_layers), dtype=np.bool_)
-        perm_buf = (
-            np.empty((num_seeds, cfg.replay_capacity), dtype=np.int64)
-            if cfg.replay_enabled
-            else None
-        )
-        iota = np.arange(cfg.replay_capacity, dtype=np.int64)
-        # Full-exploration blocks: cap the pre-drawn run so a K=1000
-        # sweep over a 500-episode explore phase never materializes
-        # hundreds of megabytes of entropy at once.
-        block_cap = max(1, 8192 // max(num_layers, 1))
-        blocks: np.ndarray | None = None
-        block_pos = block_len = 0
-
-        best_total = np.full(num_seeds, np.inf, dtype=np.float64)
-        best_choices = np.zeros((num_seeds, num_layers), dtype=np.int64)
-        episode_totals: list[np.ndarray] = []
-        epsilon_trace: list[float] = []
-        batched_pricings = 0
-        start_episode = 0
-        elapsed_s = 0.0
-        if resume is not None:
-            for s in range(num_seeds):
-                snap = resume["seeds"][s]
-                best_total[s] = snap["best_total"]
-                if snap["best_choices"] is not None:
-                    best_choices[s] = snap["best_choices"]
-            start_episode = int(resume["episode"])
-            elapsed_s = float(resume.get("elapsed_s", 0.0))
-            epsilon_trace = list(resume["epsilon_trace"])
-            if track_curve:
-                episode_totals = [
-                    np.array(
-                        [resume["seeds"][s]["curve"][e] for s in range(num_seeds)],
-                        dtype=np.float64,
-                    )
-                    for e in range(start_episode)
-                ]
-        started = time.perf_counter()
-
-        for episode in range(start_episode, cfg.episodes):
-            epsilon = eps_list[episode]
-            # -- decision entropy (per seed, stream-identical draws)
-            if epsilon >= 1.0:
-                if block_pos == block_len:
-                    run = 1
-                    while (
-                        episode + run < cfg.episodes
-                        and eps_list[episode + run] >= 1.0
-                        and run < block_cap
-                        # A block must never span a checkpoint boundary:
-                        # capture would otherwise find the policy stream
-                        # already advanced past the boundary.  Capping
-                        # changes only the draw *grouping* — a (run, L)
-                        # row-major block is bitwise the same stream as
-                        # run per-episode draws — so results are
-                        # unchanged.
-                        and not (
-                            checkpoint_every
-                            and (episode + run) % checkpoint_every == 0
-                        )
-                    ):
-                        run += 1
-                    if blocks is None or blocks.shape[1] < run:
-                        blocks = np.empty(
-                            (num_seeds, run, num_layers), dtype=np.int64
-                        )
-                    for s, rng in enumerate(policy_rngs):
-                        blocks[s, :run] = rng.integers(
-                            0, action_counts[None, :], size=(run, num_layers)
-                        )
-                    block_len = run
-                    block_pos = 0
-                np.copyto(explored_buf, blocks[:, block_pos, :])
-                block_pos += 1
-                mode = mega_kernels._MODE_EXPLORE
-                explore2, explored2 = None, explored_buf
-            elif epsilon <= 0.0:
-                mode = mega_kernels._MODE_GREEDY
-                explore2 = explored2 = None
-            else:
-                for s, rng in enumerate(policy_rngs):
-                    explore_buf[s] = rng.random(num_layers) < epsilon
-                    explored_buf[s] = rng.integers(0, action_counts)
-                mode = mega_kernels._MODE_MIXED
-                explore2, explored2 = explore_buf, explored_buf
-            # -- replay entropy (per seed, same shuffle as the runners)
-            if perm_buf is not None:
-                stored = state.stored()
-                perm2 = perm_buf[:, :stored]
-                for s, rng in enumerate(replay_rngs):
-                    row = perm_buf[s, :stored]
-                    row[:] = iota[:stored]
-                    rng.shuffle(row)
-            else:
-                perm2 = None
-            # -- one (or two) mega dispatches for all K seeds
-            if shaping:
-                costs = state.episode(mode, explore2, explored2, perm2)
-                totals = costs.sum(axis=1)
-            else:
-                costs = state.rollout_price(mode, explore2, explored2)
-                totals = costs.sum(axis=1)
-                rewards = np.zeros((num_seeds, num_layers), dtype=np.float64)
-                rewards[:, num_layers - 1] = -totals
-                state.learn(rewards, perm2)
-            batched_pricings += 1
-            # -- vectorized best tracking
-            improved = totals < best_total
-            if improved.any():
-                best_total[improved] = totals[improved]
-                best_choices[improved] = state.choices[improved]
-            if track_curve:
-                episode_totals.append(totals.copy())
-                epsilon_trace.append(epsilon)
-            # -- anytime checkpoint (episode boundary; draws no RNG).
-            # The block-run cap above guarantees no pre-drawn policy
-            # entropy extends past this boundary, so the captured RNG
-            # states correspond exactly to "episodes < boundary drawn".
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and (episode + 1) % checkpoint_every == 0
-                and episode + 1 < cfg.episodes
-            ):
-                snapshot = ckpt_mod.build_checkpoint(
-                    kind="multi-seed",
-                    graph=self.lut.graph_name,
-                    mode=self.lut.mode,
-                    episodes=cfg.episodes,
-                    episode=episode + 1,
-                    kernel=cfg.kernel,
-                    elapsed_s=elapsed_s + (time.perf_counter() - started),
-                    epsilon_trace=epsilon_trace,
-                    warm_start=cfg.warm_start,
-                    seed_snaps=[
-                        ckpt_mod.mega_seed_snapshot(
-                            state,
-                            s,
-                            seed,
-                            policy_rngs[s],
-                            replay_rngs[s],
-                            float(best_total[s]),
-                            best_choices[s],
-                            [float(t[s]) for t in episode_totals],
-                        )
-                        for s, seed in enumerate(self.seeds)
-                    ],
-                )
-                if on_checkpoint(snapshot) is False:
-                    raise PreemptedError(snapshot)
-
-        # -- finalization: one greedy mega dispatch, per-seed packaging
-        greedy_choices = state.greedy_choices().copy()
-        curve_matrix = (
-            np.stack(episode_totals) if episode_totals else None
-        )
-        results = []
-        for s, seed in enumerate(self.seeds):
-            chosen = best_choices[s].copy()
-            total = float(best_total[s])
-            if cfg.polish_sweeps > 0:
-                chosen, total = coordinate_descent(
-                    engine, chosen, max_sweeps=cfg.polish_sweeps
-                )
-            greedy_ms = engine.price(greedy_choices[s])
-            results.append(
-                SearchResult(
-                    graph_name=self.lut.graph_name,
-                    method="qs-dnn",
-                    best_assignments=engine.assignments(chosen),
-                    best_ms=float(total),
-                    episodes=cfg.episodes,
-                    curve_ms=(
-                        curve_matrix[:, s].tolist()
-                        if curve_matrix is not None
-                        else []
-                    ),
-                    epsilon_trace=list(epsilon_trace) if track_curve else [],
-                    config=replace(cfg, seed=seed),
-                    greedy_ms=float(greedy_ms),
-                    kernel_backend="mega",
-                    warm_start=cfg.warm_start,
-                )
-            )
-        wall = elapsed_s + (time.perf_counter() - started)
-        for result in results:
-            result.wall_clock_s = wall / num_seeds
-        #: Test hook: the final SoA state (Q, row_max, visited, ring)
-        #: the exactness property compares against per-seed runs.
-        self._mega_state = state
-        return MultiSeedResult(
-            results=results,
-            wall_clock_s=wall,
-            batched_pricings=batched_pricings,
-            lockstep=True,
-        )
-
-    # -- the lockstep vectorized path (replay off) --------------------------
-
-    def _run_lockstep_vectorized(self) -> MultiSeedResult:
-        """Batch the whole learning pass across seeds and layers.
-
-        Within one episode the online eq. (2) updates are
-        order-independent: the update of layer ``i`` bootstraps from
-        layer ``i + 1``'s row max, which this episode only writes
-        *after* reading (the reference loop runs in ascending layer
-        order), and every (seed, layer) pair is updated exactly once.
-        All ``K x L`` updates of an episode therefore batch into a
-        handful of flat-array numpy operations while reproducing the
-        sequential reference bit-for-bit.
-
-        Greedy decisions never scan Q rows: an argmax cache per
-        (seed, layer, row) is maintained under the exact
-        ``values.index(row_max)`` first-index semantics of
-        :meth:`QTable.greedy_action`, mirrored into nested Python lists
-        (lazily, on first non-exploration episode) for fast scalar
-        reads in the sequential decision walk.
-        """
-        cfg = self.config
-        idx = self.indexed
-        engine = self.engine
-        num_layers = len(idx)
-        num_seeds = len(self.seeds)
-        action_counts = np.asarray(idx.num_actions, dtype=np.int64)
-        q_parent = idx.q_parent
-        parent_idx = np.asarray(q_parent, dtype=np.int64)
-        virtual_start = parent_idx < 0
-        parent_gather = np.maximum(parent_idx, 0)
-        row_counts = np.where(virtual_start, 1, action_counts[parent_gather])
+    def __init__(self, engine, idx, config: SearchConfig, num_seeds: int) -> None:
+        self._engine = engine
+        self._layout = q_layout(idx)
+        counts = np.asarray(idx.num_actions, dtype=np.int64)
+        self._q_parent = [int(p) for p in idx.q_parent]
+        parent_idx = np.asarray(idx.q_parent, dtype=np.int64)
+        self._virtual_start = parent_idx < 0
+        self._parent_gather = np.maximum(parent_idx, 0)
+        row_counts = np.asarray(self._layout[1], dtype=np.int64)
+        num_layers = len(counts)
         max_rows = int(row_counts.max())
-        max_actions = int(action_counts.max())
-
-        keep = 1.0 - cfg.learning_rate
-        lr = cfg.learning_rate
-        gamma = cfg.discount
-        shaping = cfg.reward_shaping
-        track_curve = cfg.track_curve
-        epsilon_for = cfg.epsilon.epsilon_for
-
-        # Dense per-seed Q storage.  Invalid (row, action) slots are
-        # -inf so row-wise rescans ignore them; valid entries start at
-        # 0.0 exactly like QTable.
-        valid = (
-            np.arange(max_rows)[None, :, None] < row_counts[:, None, None]
-        ) & (np.arange(max_actions)[None, None, :] < action_counts[:, None, None])
-        q = np.full(
-            (num_seeds, num_layers, max_rows, max_actions),
+        self._max_rows = max_rows
+        self._max_actions = int(counts.max())
+        self._keep = 1.0 - config.learning_rate
+        self._lr = config.learning_rate
+        self._gamma = config.discount
+        self._row_valid = np.arange(max_rows)[None, :] < row_counts[:, None]
+        self._valid = self._row_valid[:, :, None] & (
+            np.arange(self._max_actions)[None, None, :] < counts[:, None, None]
+        )
+        self.q = np.full(
+            (num_seeds, num_layers, max_rows, self._max_actions),
             -np.inf,
             dtype=np.float64,
         )
-        q[:, valid] = 0.0
-        row_max = np.zeros((num_seeds, num_layers, max_rows), dtype=np.float64)
-        arg_max = np.zeros((num_seeds, num_layers, max_rows), dtype=np.int64)
-        q_flat = q.reshape(-1)
-        q_rows = q.reshape(-1, max_actions)
-        rm_flat = row_max.reshape(-1)
-        am_flat = arg_max.reshape(-1)
+        self.q[:, self._valid] = 0.0
+        self.row_max = np.zeros((num_seeds, num_layers, max_rows), dtype=np.float64)
+        self.arg_max = np.zeros((num_seeds, num_layers, max_rows), dtype=np.int64)
         #: Python-list mirror of arg_max for the scalar decision walk.
-        mirror: list[list[list[int]]] | None = None
+        self._mirror: list[list[list[int]]] | None = None
         #: Per seed: the last full-exploitation walk is still valid (no
         #: greedy-cache entry changed since it was computed).
-        walk_fresh = [False] * num_seeds
-
-        policy_rngs = [
-            RngStream(seed, "qsdnn", self.lut.graph_name, self.lut.mode).child(
-                "policy"
-            )
-            for seed in self.seeds
-        ]
-
+        self._walk_fresh = [False] * num_seeds
         seed_col = np.arange(num_seeds)[:, None]
         layer_row = np.arange(num_layers)[None, :]
-        row_base_of = (seed_col * num_layers + layer_row) * max_rows
+        self._row_base = (seed_col * num_layers + layer_row) * max_rows
+        self._batch = np.empty((num_seeds, num_layers), dtype=np.int64)
+        self._rows = np.empty((num_seeds, num_layers), dtype=np.int64)
 
-        batch = np.empty((num_seeds, num_layers), dtype=np.int64)
-        rows_np = np.empty((num_seeds, num_layers), dtype=np.int64)
-        best_total = [np.inf] * num_seeds
-        best_choices: list[np.ndarray | None] = [None] * num_seeds
-        curves: list[list[float]] = [[] for _ in range(num_seeds)]
-        epsilon_trace: list[float] = []
-        batched_pricings = 0
-        eps_list = [epsilon_for(e) for e in range(cfg.episodes)]
-        blocks: list[np.ndarray] = []
-        block_pos = block_len = 0
-        started = time.perf_counter()
+    def replay_orders(self, replay_rngs) -> None:
+        """None: the routing rule sends only replay-off sweeps here."""
+        return None
 
-        for episode in range(cfg.episodes):
-            epsilon = eps_list[episode]
-            # -- decision pass (same RNG calls per seed as QSDNNSearch)
-            if epsilon >= 1.0:
-                if block_pos == block_len:
-                    # Pre-draw a whole run of consecutive
-                    # full-exploration episodes per seed in one RNG
-                    # call: a (run, L) block fills row-major, so it is
-                    # bit-identical to `run` successive per-episode
-                    # draws from the same stream.
-                    run = 1
-                    while (
-                        episode + run < cfg.episodes
-                        and eps_list[episode + run] >= 1.0
-                    ):
-                        run += 1
-                    blocks = [
-                        rng.integers(
-                            0, action_counts[None, :], size=(run, num_layers)
-                        )
-                        for rng in policy_rngs
-                    ]
-                    block_len = run
-                    block_pos = 0
-                for s in range(num_seeds):
-                    batch[s] = blocks[s][block_pos]
-                block_pos += 1
-                rows_np[:, :] = np.where(
-                    virtual_start[None, :], 0, batch[:, parent_gather]
-                )
-                if mirror is not None:
-                    walk_fresh = [False] * num_seeds
+    def _decide(self, explore, explored) -> None:
+        """The decision pass: fills the batch of choices and Q rows."""
+        batch = self._batch
+        rows_np = self._rows
+        num_seeds, num_layers = batch.shape
+        q_parent = self._q_parent
+        if explored is not None and explore is None:
+            batch[:] = explored
+            rows_np[:] = np.where(
+                self._virtual_start[None, :], 0, batch[:, self._parent_gather]
+            )
+            if self._mirror is not None:
+                self._walk_fresh = [False] * num_seeds
+            return
+        if self._mirror is None:
+            self._mirror = self.arg_max.tolist()
+        walk_fresh = self._walk_fresh
+        if explored is None:
+            flags = [[False] * num_layers] * num_seeds
+            picks = flags
+        else:
+            flags = explore.tolist()
+            picks = explored.tolist()
+        for s in range(num_seeds):
+            if explored is None:
+                if walk_fresh[s]:
+                    # No greedy-cache entry changed since this seed's
+                    # last full-exploitation walk, so the walk (still
+                    # in batch[s] / rows_np[s]) would come out the same.
+                    continue
+                walk_fresh[s] = True
             else:
-                if mirror is None:
-                    mirror = arg_max.tolist()
-                if epsilon <= 0.0:
-                    for s in range(num_seeds):
-                        if walk_fresh[s]:
-                            # No greedy-cache entry changed since this
-                            # seed's last full-exploitation walk, so the
-                            # walk (still in batch[s] / rows_np[s]) would
-                            # come out identical — skip recomputing it.
-                            continue
-                        greedy = mirror[s]
-                        choices = [0] * num_layers
-                        rows = [0] * num_layers
-                        for i in range(num_layers):
-                            parent = q_parent[i]
-                            row = 0 if parent < 0 else choices[parent]
-                            rows[i] = row
-                            choices[i] = greedy[i][row]
-                        batch[s] = choices
-                        rows_np[s] = rows
-                        walk_fresh[s] = True
-                else:
-                    for s, rng in enumerate(policy_rngs):
-                        walk_fresh[s] = False
-                        greedy = mirror[s]
-                        explore = (rng.random(num_layers) < epsilon).tolist()
-                        explored = rng.integers(0, action_counts).tolist()
-                        choices = [0] * num_layers
-                        rows = [0] * num_layers
-                        for i in range(num_layers):
-                            parent = q_parent[i]
-                            row = 0 if parent < 0 else choices[parent]
-                            rows[i] = row
-                            choices[i] = (
-                                explored[i] if explore[i] else greedy[i][row]
-                            )
-                        batch[s] = choices
-                        rows_np[s] = rows
-            # -- pricing pass: all K rollouts in one engine call
-            costs = engine.layer_costs_batch(batch, checked=False)
-            totals = costs.sum(axis=1)
-            totals_list = totals.tolist()
-            batched_pricings += 1
-            # -- learning pass: K x L online updates in one batch
-            if shaping:
-                rewards = -costs
-            else:
-                rewards = np.zeros_like(costs)
-                rewards[:, num_layers - 1] = -totals
-            row_idx = row_base_of + rows_np
-            q_idx = row_idx * max_actions + batch
-            old = q_flat.take(q_idx)
-            boot = np.zeros((num_seeds, num_layers), dtype=np.float64)
-            # The bootstrap of layer i reads (seed, i + 1, rows[i + 1]),
-            # which is exactly the next column of row_idx; the terminal
-            # layer bootstraps from 0.
-            boot[:, :-1] = rm_flat.take(row_idx[:, 1:])
-            new = old * keep + lr * (rewards + gamma * boot)
-            q_flat[q_idx.reshape(-1)] = new.reshape(-1)
-            cur = rm_flat.take(row_idx)
-            am_pre = am_flat.take(row_idx)
-            raised = new > cur
-            tied_earlier = (new == cur) & (batch < am_pre)
-            dropped = (old == cur) & (new < old)
-            pokes: list[tuple] = []
-            target = row_idx[raised]
-            winners = batch[raised]
-            rm_flat[target] = new[raised]
-            am_flat[target] = winners
-            pokes.append((target, winners))
-            target = row_idx[tied_earlier]
-            winners = batch[tied_earlier]
-            am_flat[target] = winners
-            pokes.append((target, winners))
-            # The maximal entry decreased: rescan those rows (the batch
-            # writes are already applied, and each row is touched at
-            # most once per episode).
-            target = row_idx[dropped]
-            rescanned = q_rows[target]
-            rm_flat[target] = rescanned.max(axis=1)
-            winners = rescanned.argmax(axis=1)
-            am_flat[target] = winners
-            pokes.append((target, winners))
-            if mirror is not None:
-                for target, winners in pokes:
-                    for flat, winner in zip(target.tolist(), winners.tolist()):
-                        row, flat = flat % max_rows, flat // max_rows
-                        layer, s = flat % num_layers, flat // num_layers
-                        greedy = mirror[s]
-                        if greedy[layer][row] != winner:
-                            greedy[layer][row] = winner
-                            walk_fresh[s] = False
-            # -- bookkeeping
-            for s in range(num_seeds):
-                total = totals_list[s]
-                if total < best_total[s]:
-                    best_total[s] = total
-                    best_choices[s] = batch[s].copy()
-                if track_curve:
-                    curves[s].append(total)
-            if track_curve:
-                epsilon_trace.append(epsilon)
-
-        if mirror is None:
-            mirror = arg_max.tolist()
-        results = []
-        for s, seed in enumerate(self.seeds):
-            chosen = best_choices[s]
-            assert chosen is not None
-            total = best_total[s]
-            if cfg.polish_sweeps > 0:
-                chosen, total = coordinate_descent(
-                    engine, chosen, max_sweeps=cfg.polish_sweeps
-                )
-            greedy = mirror[s]
-            walk = [0] * num_layers
+                walk_fresh[s] = False
+            greedy = self._mirror[s]
+            flag = flags[s]
+            pick = picks[s]
+            choices = [0] * num_layers
+            rows = [0] * num_layers
             for i in range(num_layers):
                 parent = q_parent[i]
+                row = 0 if parent < 0 else choices[parent]
+                rows[i] = row
+                choices[i] = pick[i] if flag[i] else greedy[i][row]
+            batch[s] = choices
+            rows_np[s] = rows
+
+    def rollout_price(self, explore, explored) -> np.ndarray:
+        """The decision pass, then all K rollouts priced in one call."""
+        self._decide(explore, explored)
+        return self._engine.layer_costs_batch(self._batch, checked=False)
+
+    def episode(self, explore, explored, orders) -> np.ndarray:
+        """Rollout, pricing and the batched eq. (2) pass; returns costs."""
+        costs = self.rollout_price(explore, explored)
+        self.learn(-costs, orders)
+        return costs
+
+    def learn(self, rewards: np.ndarray, orders) -> None:
+        """K x L online eq. (2) updates in one batch."""
+        batch = self._batch
+        max_rows = self._max_rows
+        num_seeds, num_layers = batch.shape
+        q_flat = self.q.reshape(-1)
+        q_rows = self.q.reshape(-1, self._max_actions)
+        rm_flat = self.row_max.reshape(-1)
+        am_flat = self.arg_max.reshape(-1)
+        row_idx = self._row_base + self._rows
+        q_idx = row_idx * self._max_actions + batch
+        old = q_flat.take(q_idx)
+        boot = np.zeros((num_seeds, num_layers), dtype=np.float64)
+        # The bootstrap of layer i reads (seed, i + 1, rows[i + 1]),
+        # which is exactly the next column of row_idx; the terminal
+        # layer bootstraps from 0.
+        boot[:, :-1] = rm_flat.take(row_idx[:, 1:])
+        new = old * self._keep + self._lr * (rewards + self._gamma * boot)
+        q_flat[q_idx.reshape(-1)] = new.reshape(-1)
+        cur = rm_flat.take(row_idx)
+        am_pre = am_flat.take(row_idx)
+        raised = new > cur
+        tied_earlier = (new == cur) & (batch < am_pre)
+        dropped = (old == cur) & (new < old)
+        pokes: list[tuple] = []
+        target = row_idx[raised]
+        winners = batch[raised]
+        rm_flat[target] = new[raised]
+        am_flat[target] = winners
+        pokes.append((target, winners))
+        target = row_idx[tied_earlier]
+        winners = batch[tied_earlier]
+        am_flat[target] = winners
+        pokes.append((target, winners))
+        # The maximal entry decreased: rescan those rows (the batch
+        # writes are already applied, and each row is touched at
+        # most once per episode).
+        target = row_idx[dropped]
+        rescanned = q_rows[target]
+        rm_flat[target] = rescanned.max(axis=1)
+        winners = rescanned.argmax(axis=1)
+        am_flat[target] = winners
+        pokes.append((target, winners))
+        if self._mirror is not None:
+            walk_fresh = self._walk_fresh
+            for target, winners in pokes:
+                for flat, winner in zip(target.tolist(), winners.tolist()):
+                    row, flat = flat % max_rows, flat // max_rows
+                    layer, s = flat % num_layers, flat // num_layers
+                    greedy = self._mirror[s]
+                    if greedy[layer][row] != winner:
+                        greedy[layer][row] = winner
+                        walk_fresh[s] = False
+
+    def snapshot(self, s: int) -> np.ndarray:
+        """A copy of seed ``s``'s current choices."""
+        return self._batch[s].copy()
+
+    def export_seed(self, s: int):
+        """Seed ``s``'s dense slice in the flat ``QTable`` layout."""
+        empty = np.zeros(0, dtype=np.bool_)
+        return self.q[s][self._valid], self.row_max[s][self._row_valid], empty, None
+
+    def import_seed(self, s: int, q, row_max, visited, ring) -> None:
+        """Write a flat Q block and row maxima into seed ``s``'s slice."""
+        self.q[s][self._valid] = q
+        self.row_max[s][self._row_valid] = row_max
+        # The row max is exact, so the first-index argmax over the
+        # -inf-padded rows is the cache the updates maintain.
+        self.arg_max[s] = self.q[s].argmax(axis=-1)
+        self._mirror = None
+
+    def load_prior(self, values: np.ndarray) -> None:
+        """Seed every seed's slice with the flat prior block."""
+        row_max = prior_row_max(values, *self._layout)
+        for s in range(len(self._batch)):
+            self.import_seed(s, values, row_max, None, None)
+
+    def greedy_choices(self) -> list[list[int]]:
+        """Every seed's fully-greedy walk over its argmax cache."""
+        mirror = self._mirror if self._mirror is not None else self.arg_max.tolist()
+        walks = []
+        for greedy in mirror:
+            walk = [0] * len(self._q_parent)
+            for i, parent in enumerate(self._q_parent):
                 walk[i] = greedy[i][0 if parent < 0 else walk[parent]]
-            results.append(
-                SearchResult(
-                    graph_name=self.lut.graph_name,
-                    method="qs-dnn",
-                    best_assignments=engine.assignments(chosen),
-                    best_ms=float(total),
-                    episodes=cfg.episodes,
-                    curve_ms=curves[s],
-                    epsilon_trace=list(epsilon_trace) if track_curve else [],
-                    config=replace(cfg, seed=seed),
-                    greedy_ms=float(engine.price(walk)),
-                    warm_start=cfg.warm_start,
-                )
-            )
-        wall = time.perf_counter() - started
-        for result in results:
-            result.wall_clock_s = wall / num_seeds
-        return MultiSeedResult(
-            results=results,
-            wall_clock_s=wall,
-            batched_pricings=batched_pricings,
-            lockstep=True,
-        )
+            walks.append(walk)
+        return walks

@@ -37,11 +37,12 @@ class SearchResult:
     config: SearchConfig | None = None
     #: Total latency of the final fully-greedy policy (RL only).
     greedy_ms: float | None = None
-    #: Episode-kernel backend that ran the search ("numba",
-    #: "reference", or "mega" for members of a SoA mega-batch sweep).
-    #: None for methods that never enter an episode kernel —
-    #: baselines, and the replay-off multi-seed sweep, whose lockstep
-    #: path batches eq. (2) across seeds in numpy instead.
+    #: What ran the search's episodes: the per-seed kernel backend
+    #: ("numba" or "reference") for the scalar runner kind, "mega" for
+    #: members of a SoA mega-batch sweep, "vectorized" for members of a
+    #: replay-off sweep batched across seeds in numpy (see
+    #: :mod:`repro.core.search`).  None for methods that never enter
+    #: the episode loop (baselines).
     kernel_backend: str | None = None
     #: Which Q-prior seeded this run ("off" = cold start; see
     #: :mod:`repro.core.priors`).

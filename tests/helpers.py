@@ -120,3 +120,62 @@ def trap_lut() -> LatencyTable:
         transfer_ms=transfer,
         meta=meta,
     )
+
+
+def scalar_final_qtable(lut: LatencyTable, config, seed: int):
+    """The final Q table of one single-seed search, by an oracle.
+
+    Drives one kernel runner by hand, drawing each episode's randomness
+    from the search's named streams one episode at a time — independent
+    of the shared episode loop and its block-drawn exploration, so the
+    runner kinds' exported state is checked against it bitwise.
+    """
+    from repro.core.kernels import make_runner, resolve_backend
+    from repro.core.qtable import QTable
+    from repro.utils.rng import RngStream
+
+    idx = lut.indexed()
+    num_layers = len(idx)
+    action_counts = np.asarray(idx.num_actions, dtype=np.int64)
+    row_sizes = [
+        1 if parent < 0 else int(idx.num_actions[parent])
+        for parent in idx.q_parent
+    ]
+    qtable = QTable(
+        list(idx.num_actions),
+        config.learning_rate,
+        config.discount,
+        row_sizes=row_sizes,
+        first_visit_bootstrap=config.first_visit_bootstrap,
+    )
+    runner = make_runner(
+        idx.engine(),
+        qtable,
+        idx.q_parent,
+        replay_enabled=config.replay_enabled,
+        replay_capacity=config.replay_capacity,
+        backend=resolve_backend("auto"),
+    )
+    stream = RngStream(seed, "qsdnn", lut.graph_name, lut.mode)
+    policy_rng = stream.child("policy")
+    replay_rng = stream.child("replay")
+    for episode in range(config.episodes):
+        epsilon = config.epsilon.epsilon_for(episode)
+        if epsilon >= 1.0:
+            explore = None
+            explored = policy_rng.integers(0, action_counts)
+        elif epsilon <= 0.0:
+            explore = explored = None
+        else:
+            explore = policy_rng.random(num_layers) < epsilon
+            explored = policy_rng.integers(0, action_counts)
+        perm = runner.draw_replay_order(replay_rng)
+        if config.reward_shaping:
+            runner.episode(explore, explored, perm)
+        else:
+            costs = runner.rollout_price(explore, explored)
+            rewards = np.zeros(num_layers, dtype=np.float64)
+            rewards[num_layers - 1] = -float(costs.sum())
+            runner.learn(rewards, perm)
+    runner.finalize()
+    return qtable

@@ -42,7 +42,14 @@ def _config(**overrides) -> SearchConfig:
     return SearchConfig(**fields)
 
 
-def _capture_at(lut, config, episode: int) -> dict:
+def _search(lut, config, seeds=None):
+    """A single-seed search, or a multi-seed sweep over ``seeds``."""
+    if seeds is None:
+        return QSDNNSearch(lut, config)
+    return MultiSeedSearch(lut, config, seeds=seeds)
+
+
+def _capture_at(lut, config, episode: int, seeds=None) -> dict:
     """Run until the boundary at ``episode``, preempt, return the
     encoded-then-decoded checkpoint (the exact resume input)."""
 
@@ -50,7 +57,7 @@ def _capture_at(lut, config, episode: int) -> dict:
         return ckpt["episode"] < episode
 
     with pytest.raises(PreemptedError) as exc:
-        QSDNNSearch(lut, config).run(checkpoint_every=1, on_checkpoint=stop)
+        _search(lut, config, seeds).run(checkpoint_every=1, on_checkpoint=stop)
     ckpt = exc.value.checkpoint
     assert ckpt["episode"] == episode
     return decode_checkpoint(encode_checkpoint(ckpt))
@@ -123,6 +130,35 @@ class TestCheckpointCodec:
         # An episode index outside (0, episodes) cannot resume.
         with pytest.raises(CheckpointError, match="outside"):
             check_resume(dict(ckpt, episode=60), **good)
+
+    @pytest.mark.parametrize("seeds,kernel", [
+        (None, "reference"),  # the scalar kind of a single-seed search
+        ([3, 4], "reference"),  # scalar with replay, vectorized without
+        ([3, 4], "mega"),
+    ])
+    @pytest.mark.parametrize("captured,resumed", [
+        (dict(replay_enabled=True), dict(replay_enabled=False)),
+        (dict(replay_enabled=False), dict(replay_enabled=True)),
+        (dict(replay_capacity=128), dict(replay_capacity=8)),
+        (dict(), dict(first_visit_bootstrap=True)),
+        (dict(first_visit_bootstrap=True), dict()),
+        (
+            dict(replay_enabled=False),
+            dict(replay_enabled=False, first_visit_bootstrap=True),
+        ),
+    ])
+    def test_resume_rejects_state_of_another_config(
+        self, seeds, kernel, captured, resumed
+    ):
+        """The learning state must fit the resuming search: a replay
+        ring exactly when replay is on, filled as far as the episode
+        index says, and Q/row-max/visited blocks of its layout."""
+        lut = synthetic_chain_lut(5, 3, seed=21)
+        ckpt = _capture_at(lut, _config(kernel=kernel, **captured), 40, seeds)
+        with pytest.raises(CheckpointError):
+            _search(lut, _config(kernel=kernel, **resumed), seeds).run(
+                resume=ckpt
+            )
 
     def test_warm_checkpoints_record_the_kind(self):
         """A warm run's checkpoint names its prior kind; a cold run's

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.core.config import SearchConfig, ServiceConfig
+from repro.core.multi_seed import MultiSeedSearch, seed_range
 from repro.core.search import QSDNNSearch
 from repro.errors import LeaseExpiredError
 from repro.runtime.campaign import CampaignJob, load_or_profile_lut
@@ -150,43 +151,67 @@ class TestLiveProgress:
         assert all(a >= b for a, b in zip(bests, bests[1:]))
 
 
+def _preempt_then_resume(**kind) -> dict:
+    """DELETE a running local-pool job mid-flight, resubmit it with
+    ``"resume": true`` and return the finished record."""
+    with LiveAnytime() as live:
+        record = live.client.submit(_long_body(**kind))[0]
+        # Wait for the first in-flight checkpoint, proving the
+        # spool holds a snapshot to preempt into.
+        for event, _ in live.client.stream_progress(record["id"]):
+            if event == "progress":
+                break
+        status, body = live.raw("DELETE", f"/jobs/{record['id']}")
+        assert status == 202
+        assert body["preempting"] is True
+        assert body["state"] == "running"  # lands cancelled async
+        cancelled = live.wait_state(record["id"], "cancelled")
+        assert "preempted at episode" in cancelled["error"]
+        key = job_key(CampaignJob(**cancelled["job"]))
+        stored = live.service.store.get_checkpoint(key)
+        assert stored is not None
+        assert 0 < stored.episode < LONG
+        samples = parse_samples(live.client.metrics())
+        assert samples["repro_jobs_preempted_total"][()] == 1.0
+        assert samples["repro_checkpoints_written_total"][()] >= 1.0
+
+        # Resubmission with resume picks the checkpoint up and the
+        # finished run is bitwise an uninterrupted one.
+        resumed = live.client.submit(_long_body(resume=True, **kind))[0]
+        assert resumed["id"] != record["id"]
+        final = live.client.wait(resumed["id"], timeout=120)
+        assert final["state"] == "done"
+        samples = parse_samples(live.client.metrics())
+        assert samples["repro_jobs_resumed_total"][()] == 1.0
+        # Completion hygiene: the checkpoint row is gone.
+        assert live.service.store.get_checkpoint(key) is None
+    return final
+
+
 class TestPreemptResume:
     def test_delete_preempts_running_job_then_resume_is_bitwise(self):
-        with LiveAnytime() as live:
-            record = live.client.submit(_long_body())[0]
-            # Wait for the first in-flight checkpoint, proving the
-            # spool holds a snapshot to preempt into.
-            for event, _ in live.client.stream_progress(record["id"]):
-                if event == "progress":
-                    break
-            status, body = live.raw("DELETE", f"/jobs/{record['id']}")
-            assert status == 202
-            assert body["preempting"] is True
-            assert body["state"] == "running"  # lands cancelled async
-            cancelled = live.wait_state(record["id"], "cancelled")
-            assert "preempted at episode" in cancelled["error"]
-            key = job_key(CampaignJob(**cancelled["job"]))
-            stored = live.service.store.get_checkpoint(key)
-            assert stored is not None
-            assert 0 < stored.episode < LONG
-            samples = parse_samples(live.client.metrics())
-            assert samples["repro_jobs_preempted_total"][()] == 1.0
-            assert samples["repro_checkpoints_written_total"][()] >= 1.0
-
-            # Resubmission with resume picks the checkpoint up and the
-            # finished run is bitwise an uninterrupted one.
-            resumed = live.client.submit(_long_body(resume=True))[0]
-            assert resumed["id"] != record["id"]
-            final = live.client.wait(resumed["id"], timeout=120)
-            assert final["state"] == "done"
-            samples = parse_samples(live.client.metrics())
-            assert samples["repro_jobs_resumed_total"][()] == 1.0
-            # Completion hygiene: the checkpoint row is gone.
-            assert live.service.store.get_checkpoint(key) is None
+        final = _preempt_then_resume()
         local = _local_long()
         assert final["best_ms"] == local.best_ms  # bitwise
         assert final["payload"]["curve_ms"] == local.curve_ms
         assert final["payload"]["best_assignments"] == local.best_assignments
+
+    def test_delete_preempts_running_multi_seed_job_then_resume_is_bitwise(self):
+        """The same preemption with a 2-seed sweep: every member of
+        the resumed sweep is bitwise a local uninterrupted one."""
+        final = _preempt_then_resume(kind="multi-seed", seeds=2)
+        job = CampaignJob(
+            network="fig1_toy", mode="gpgpu", episodes=LONG, kind="multi-seed"
+        )
+        lut, _ = load_or_profile_lut(job)
+        local = MultiSeedSearch(
+            lut, SearchConfig(episodes=LONG), seeds=seed_range(0, 2)
+        ).run()
+        members = final["payload"]["results"]
+        assert len(members) == 2
+        for member, solo in zip(members, local.results):
+            assert member["best_ms"] == solo.best_ms  # bitwise
+            assert member["curve_ms"] == solo.curve_ms
 
     def test_resume_without_checkpoint_runs_from_scratch(self):
         """``"resume": true`` with nothing persisted is not an error —

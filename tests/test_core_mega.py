@@ -26,14 +26,11 @@ from repro.core import (
 )
 from repro.core.kernels import (
     MEGA_SEED_THRESHOLD,
-    make_runner,
     mega_selected,
     numba_available,
     resolve_backend,
 )
-from repro.core.qtable import QTable
-from repro.utils.rng import RngStream
-from tests.helpers import synthetic_chain_lut
+from tests.helpers import scalar_final_qtable, synthetic_chain_lut
 
 
 def _mega_config(base: SearchConfig) -> SearchConfig:
@@ -50,61 +47,11 @@ def _mega_config(base: SearchConfig) -> SearchConfig:
     )
 
 
-def _scalar_final_qtable(lut, config: SearchConfig, seed: int) -> QTable:
-    """Replay one scalar search keeping the Q table (QSDNNSearch keeps
-    it local), driving the runner exactly as ``QSDNNSearch.run`` does."""
-    idx = lut.indexed()
-    num_layers = len(idx)
-    action_counts = np.asarray(idx.num_actions, dtype=np.int64)
-    row_sizes = [
-        1 if parent < 0 else int(idx.num_actions[parent])
-        for parent in idx.q_parent
-    ]
-    qtable = QTable(
-        list(idx.num_actions),
-        config.learning_rate,
-        config.discount,
-        row_sizes=row_sizes,
-        first_visit_bootstrap=config.first_visit_bootstrap,
-    )
-    runner = make_runner(
-        idx.engine(),
-        qtable,
-        idx.q_parent,
-        replay_enabled=config.replay_enabled,
-        replay_capacity=config.replay_capacity,
-        backend=resolve_backend("auto"),
-    )
-    stream = RngStream(seed, "qsdnn", lut.graph_name, lut.mode)
-    policy_rng = stream.child("policy")
-    replay_rng = stream.child("replay")
-    for episode in range(config.episodes):
-        epsilon = config.epsilon.epsilon_for(episode)
-        if epsilon >= 1.0:
-            explore = None
-            explored = policy_rng.integers(0, action_counts)
-        elif epsilon <= 0.0:
-            explore = explored = None
-        else:
-            explore = policy_rng.random(num_layers) < epsilon
-            explored = policy_rng.integers(0, action_counts)
-        perm = runner.draw_replay_order(replay_rng)
-        if config.reward_shaping:
-            runner.episode(explore, explored, perm)
-        else:
-            costs = runner.rollout_price(explore, explored)
-            rewards = np.zeros(num_layers, dtype=np.float64)
-            rewards[num_layers - 1] = -float(costs.sum())
-            runner.learn(rewards, perm)
-    runner.finalize()
-    return qtable
-
-
 def _assert_mega_matches_singles(lut, config, seeds):
     """Mega sweep vs K independent scalar runs: results AND flat state."""
     search = MultiSeedSearch(lut, _mega_config(config), seeds=seeds)
     sweep = search.run()
-    state = search._mega_state  # test hook set by the mega path
+    state = search._kind  # test hook: the runner kind that ran
     assert len(sweep.results) == len(seeds)
     for s, (seed, member) in enumerate(zip(seeds, sweep.results)):
         single_cfg = SearchConfig(
@@ -125,10 +72,11 @@ def _assert_mega_matches_singles(lut, config, seeds):
         assert member.config.seed == seed
         assert member.kernel_backend == "mega"
         # The SoA row is the scalar run's flat Q state, bitwise.
-        flat = _scalar_final_qtable(lut, config, seed).flat()
-        assert np.array_equal(state.q[s], flat.data)
-        assert np.array_equal(state.row_max[s], flat.row_max)
-        assert np.array_equal(state.visited[s], flat.visited)
+        flat = scalar_final_qtable(lut, config, seed).flat()
+        q, row_max, visited, _ = state.export_seed(s)
+        assert np.array_equal(q, flat.data)
+        assert np.array_equal(row_max, flat.row_max)
+        assert np.array_equal(visited, flat.visited)
     return sweep, state
 
 
@@ -180,7 +128,7 @@ class TestExactnessOnRealLuts:
                 toy_lut_gpgpu, _mega_config(config), seeds=[seed]
             )
             solo_search.run()
-            solo = solo_search._mega_state
+            solo = solo_search._kind
             assert np.array_equal(batched.ring[s], solo.ring[0])
             assert batched.fill == solo.fill and batched.pos == solo.pos
 
@@ -216,6 +164,47 @@ class TestRouting:
         assert mega.best_ms == auto.best_ms
         assert mega.curve_ms == auto.curve_ms
         assert mega.kernel_backend == resolve_backend("auto")
+
+    @pytest.mark.parametrize("replay,fvb,kernel,num_seeds,expected", [
+        (True, False, "reference", 2, "reference"),
+        (False, False, "reference", 2, "vectorized"),
+        (False, True, "reference", 2, "reference"),
+        (True, True, "reference", 1, "reference"),
+        (False, False, "mega", 2, "mega"),
+        (True, True, "mega", 1, "mega"),
+        (True, False, "auto", 2, "per-seed"),
+        (False, False, "auto", 2, "numba-or-vectorized"),
+        (False, True, "auto", 2, "per-seed"),
+        (False, False, "auto", MEGA_SEED_THRESHOLD, "mega-or-vectorized"),
+        (True, False, "auto", MEGA_SEED_THRESHOLD, "mega-or-reference"),
+        (False, False, "numba", 2, "numba"),
+        (True, True, "numba", 2, "numba"),
+    ])
+    def test_routing_rule(
+        self, monkeypatch, replay, fvb, kernel, num_seeds, expected
+    ):
+        """(replay, fvb, kernel, K) -> the runner kind that ran, read
+        off the results' ``kernel_backend`` label.  The "-or-" rows
+        name what the numba leg runs first, the reference leg second."""
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        numba = numba_available()
+        if kernel == "numba" and not numba:
+            pytest.skip("numba not installed")
+        expected = {
+            "per-seed": "numba" if numba else "reference",
+            "numba-or-vectorized": "numba" if numba else "vectorized",
+            "mega-or-vectorized": "mega" if numba else "vectorized",
+            "mega-or-reference": "mega" if numba else "reference",
+        }.get(expected, expected)
+        config = SearchConfig(
+            episodes=12, replay_enabled=replay, first_visit_bootstrap=fvb,
+            kernel=kernel,
+        )
+        sweep = MultiSeedSearch(
+            synthetic_chain_lut(3, 3, seed=4), config,
+            seeds=seed_range(0, num_seeds),
+        ).run()
+        assert {r.kernel_backend for r in sweep.results} == {expected}
 
     def test_sweep_surface(self, toy_lut_gpgpu):
         config = SearchConfig(episodes=45, kernel="mega")

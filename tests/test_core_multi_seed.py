@@ -1,9 +1,9 @@
 """The lockstep multi-seed runner: exactness is the contract.
 
-Every fast path (vectorized, fused-replay, sequential fallback) must
-reproduce the per-seed results of independent single-seed
-:class:`QSDNNSearch` runs bit-for-bit — ``best_ms``, the whole episode
-curve, the final greedy policy.  The Hypothesis test sweeps synthetic
+Every runner kind (scalar, vectorized, mega) must reproduce the
+per-seed results of independent single-seed :class:`QSDNNSearch` runs
+bit-for-bit — ``best_ms``, the whole episode curve, the final greedy
+policy and the final flat Q state.  The Hypothesis test sweeps synthetic
 landscapes, seed sets and config variants; the fixture-based tests pin
 real profiled LUTs (including a branchy network).
 """
@@ -22,13 +22,15 @@ from repro.core import (
     seed_range,
 )
 from repro.errors import ConfigError
-from tests.helpers import synthetic_chain_lut
+from tests.helpers import scalar_final_qtable, synthetic_chain_lut
 
 
 def _assert_members_match_singles(lut, config, seeds):
-    sweep = MultiSeedSearch(lut, config, seeds=seeds).run()
+    search = MultiSeedSearch(lut, config, seeds=seeds)
+    sweep = search.run()
+    kind = search._kind  # test hook: the runner kind that ran
     assert len(sweep.results) == len(seeds)
-    for seed, member in zip(seeds, sweep.results):
+    for s, (seed, member) in enumerate(zip(seeds, sweep.results)):
         single_cfg = SearchConfig(
             episodes=config.episodes,
             replay_enabled=config.replay_enabled,
@@ -45,6 +47,12 @@ def _assert_members_match_singles(lut, config, seeds):
         assert member.best_assignments == single.best_assignments
         assert member.greedy_ms == single.greedy_ms
         assert member.config.seed == seed
+        # The member's exported state is the solo run's flat Q state.
+        flat = scalar_final_qtable(lut, single_cfg, seed).flat()
+        q, row_max, visited, _ = kind.export_seed(s)
+        assert np.array_equal(q, flat.data)
+        assert np.array_equal(row_max, flat.row_max)
+        assert np.array_equal(visited, flat.visited)
     return sweep
 
 
@@ -65,6 +73,7 @@ class TestExactnessProperty:
             episodes=data.draw(st.sampled_from([12, 40, 90]), label="episodes"),
             replay_enabled=data.draw(st.booleans(), label="replay"),
             reward_shaping=data.draw(st.booleans(), label="shaping"),
+            first_visit_bootstrap=data.draw(st.booleans(), label="fvb"),
             polish_sweeps=data.draw(st.sampled_from([0, 2]), label="polish"),
         )
         _assert_members_match_singles(lut, config, seed_range(base, count))

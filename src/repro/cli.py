@@ -645,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raw Algorithm 1 output, no local refinement")
     p.add_argument("--seeds", type=_positive_int, default=1,
                    help="run K consecutive seeds in one lockstep sweep "
-                        "(results identical to K runs)")
+                        "(results identical to K runs); without "
+                        "--checkpoint-every/--resume-from the seeds are "
+                        "split across one process per usable CPU")
     p.add_argument("--kernel",
                    choices=["auto", "numba", "reference", "mega"],
                    default="auto",

@@ -6,8 +6,9 @@ run: per seed the flat Q block with its row-max and visited caches
 (the exact :meth:`~repro.core.qtable.QTable.flat` layout), the replay
 ring with its fill/position counters, both named RNG streams'
 bit-generator states, and the best-so-far tracking (best total, best
-choices, latency curve); per run the episode index, epsilon trace and
-accumulated wall clock.
+choices, latency curve); per run the episode index, epsilon trace,
+accumulated wall clock and the learning settings the captured state
+was learned under (:func:`learning_settings`).
 
 The format is deliberately backend-neutral: the ring is stored as
 ``(layer, row, action, next_row, reward)`` rows in slot order — the
@@ -155,6 +156,29 @@ def seed_state(
 # -- the run-level envelope ----------------------------------------------
 
 
+def learning_settings(config) -> dict:
+    """What a resume must share with the capture beyond the learning
+    state's shape: the learning rate, discount and reward shaping of
+    every eq. (2) update, and the epsilon of every episode as
+    ``[epsilon, episodes]`` runs (empty phases dropped, equal
+    neighbours merged, so schedules with the same per-episode epsilon
+    compare equal)."""
+    runs: list[list] = []
+    for phase in config.epsilon.phases:
+        if not phase.episodes:
+            continue
+        if runs and runs[-1][0] == phase.epsilon:
+            runs[-1][1] += phase.episodes
+        else:
+            runs.append([float(phase.epsilon), int(phase.episodes)])
+    return {
+        "learning_rate": float(config.learning_rate),
+        "discount": float(config.discount),
+        "reward_shaping": bool(config.reward_shaping),
+        "epsilon": runs,
+    }
+
+
 def build_checkpoint(
     kind: str,
     graph: str,
@@ -165,6 +189,7 @@ def build_checkpoint(
     elapsed_s: float,
     epsilon_trace: list[float],
     seed_snaps: list[dict],
+    learning: dict,
     warm_start: str = "off",
 ) -> dict:
     """Assemble the run-level checkpoint envelope.
@@ -172,7 +197,8 @@ def build_checkpoint(
     ``episode`` counts *completed* episodes — resume continues from
     that index.  ``best_ms`` is the headline best across seeds (what
     progress streams display); it is always finite because capture
-    happens after at least one completed episode.  ``warm_start``
+    happens after at least one completed episode.  ``learning`` is the
+    run's :func:`learning_settings`, which resume validates.  ``warm_start``
     records which Q-prior seeded the run; resume validates it so a
     warm checkpoint never silently continues under a cold label (the
     snapshot's Q block already carries the prior's effect — resume
@@ -189,11 +215,11 @@ def build_checkpoint(
         "best_ms": min(s["best_total"] for s in seed_snaps),
         "elapsed_s": float(elapsed_s),
         "epsilon_trace": [float(e) for e in epsilon_trace],
+        "learning": learning,
         "seeds": seed_snaps,
     }
-    # Cold checkpoints stay byte-identical to pre-prior builds (the
-    # encoded text is part of the bitwise-off contract); the key only
-    # appears for warm runs.
+    # Cold checkpoints carry nothing of the prior layer (part of the
+    # bitwise-off contract); the key only appears for warm runs.
     if warm_start != "off":
         ckpt["warm_start"] = warm_start
     return ckpt
@@ -232,14 +258,18 @@ def check_resume(
     episodes: int,
     seeds: list[int],
     warm_start: str = "off",
+    learning: dict | None = None,
 ) -> None:
     """Verify a checkpoint belongs to this exact search, or raise.
 
     Resuming a checkpoint under a different graph, mode, episode
-    budget, seed list or warm-start kind would silently answer a
-    different question; every mismatch is a loud
-    :class:`CheckpointError`.  Checkpoints written before the prior
-    layer carry no ``warm_start`` key and count as ``"off"``.
+    budget, seed list, warm-start kind or learning settings
+    (``learning``, the resuming search's :func:`learning_settings`;
+    None skips the check) would silently answer a different question;
+    every mismatch is a loud :class:`CheckpointError`.  Checkpoints
+    written before the prior layer carry no ``warm_start`` key and
+    count as ``"off"``; those written before the learning settings
+    were recorded carry no ``learning`` key and pass that check.
     """
     if ckpt.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
@@ -271,6 +301,14 @@ def check_resume(
             f"checkpoint was seeded with warm_start={ckpt_warm!r}, "
             f"this search runs warm_start={warm_start!r}"
         )
+    recorded = ckpt.get("learning")
+    if learning is not None and recorded is not None:
+        for name, value in learning.items():
+            if recorded.get(name) != value:
+                raise CheckpointError(
+                    f"checkpoint was learned with {name}={recorded.get(name)!r}, "
+                    f"this search runs {name}={value!r}"
+                )
     completed = int(ckpt.get("episode", -1))
     if not 0 < completed < int(episodes):
         raise CheckpointError(

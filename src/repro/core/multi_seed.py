@@ -26,10 +26,29 @@ arithmetic, chosen by one rule:
   sequential per-seed update chains that batching across seeds does
   not speed up, and under numba one compiled call per seed and
   episode beats numpy seed-batching.
+
+Within one seed Algorithm 1 is sequential, but the K seeds of a sweep
+are independent runs, so a sweep may also split across processes
+(:func:`shard_count`).  It splits its seeds into P contiguous shards
+whose sizes differ by at most one, forks P - 1 children, runs the last
+shard itself and puts the members back in seed order.  Each shard
+routes its own kind by the rule above and runs the same episode loop,
+so every member is still bit-identical to its solo run; only the wall
+clock changes.  A sweep stays in-process when it is anytime (a
+checkpoint captures every seed at one episode boundary), when it
+routes to mega (one dispatch over all seeds already), in a
+multiprocessing child (campaign and service pool workers already fill
+the CPUs; a shard never shards again), and while another Python thread
+runs (it may hold a lock at fork time).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,8 +60,15 @@ from repro.core.priors import prior_row_max, q_layout
 from repro.core.result import SearchResult
 from repro.core.search import ScalarKind, run_episodes
 from repro.engine.lut import LatencyTable
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SearchError
 from repro.utils.units import format_ms
+
+#: The warning Python >= 3.12 emits when it forks a process with more
+#: than one OS thread.  numpy's bundled OpenBLAS starts a pool thread
+#: at import, so every sharded sweep would raise it, although
+#: :func:`shard_count` forks only while this is the sole Python thread
+#: and that OpenBLAS registers its own fork handlers.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
 
 def seed_range(base_seed: int, count: int) -> list[int]:
@@ -50,6 +76,43 @@ def seed_range(base_seed: int, count: int) -> list[int]:
     if count < 1:
         raise ConfigError(f"seed count must be >= 1, got {count}")
     return list(range(base_seed, base_seed + count))
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def shard_count(
+    num_seeds: int,
+    mega: bool,
+    checkpoint_every: int | None = None,
+    on_checkpoint=None,
+    resume: dict | None = None,
+) -> int:
+    """How many processes a sweep of ``num_seeds`` runs on (1: in-process).
+
+    The sweep stays in-process when it is anytime (any of the
+    :meth:`MultiSeedSearch.run` arguments given), when it routes to
+    the mega kind (``mega``), in a multiprocessing child, while another
+    Python thread runs, or where the ``fork`` start method is missing.
+    Otherwise it runs on min(K, usable CPUs) processes.
+    """
+    if (
+        checkpoint_every is not None
+        or on_checkpoint is not None
+        or resume is not None
+        or mega
+        or multiprocessing.parent_process() is not None
+        or threading.active_count() != 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return min(num_seeds, usable_cpus())
 
 
 @dataclass
@@ -138,8 +201,25 @@ class MultiSeedSearch:
 
         ``checkpoint_every``/``on_checkpoint``/``resume`` behave as in
         :meth:`QSDNNSearch.run`, with the whole lockstep sweep captured
-        in one checkpoint (one snapshot per seed).
+        in one checkpoint (one snapshot per seed).  Without them the
+        seeds may run on several processes (:func:`shard_count`).
         """
+        processes = shard_count(
+            len(self.seeds),
+            mega_selected(self.config.kernel, len(self.seeds)),
+            checkpoint_every,
+            on_checkpoint,
+            resume,
+        )
+        if processes > 1:
+            #: Test hook: None, as no in-process kind holds every seed.
+            self._kind = None
+            results, wall = self._run_sharded(processes)
+            return MultiSeedResult(
+                results=results,
+                wall_clock_s=wall,
+                batched_pricings=self.config.episodes,
+            )
         #: Test hook: the runner kind, holding the final search state.
         self._kind = self._runner_kind()
         results, steps, wall = run_episodes(
@@ -154,6 +234,59 @@ class MultiSeedSearch:
         return MultiSeedResult(
             results=results, wall_clock_s=wall, batched_pricings=steps
         )
+
+    def _run_sharded(self, processes: int) -> tuple[list[SearchResult], float]:
+        """Run the seeds as ``processes`` contiguous shards: P - 1 forked
+        children and the last shard here; returns the members in seed
+        order and the whole sweep's wall clock."""
+        started = time.perf_counter()
+        prior = self.prior
+        if self.config.warm_start != "off" and prior is not None:
+            # Resolved once, before any fork: a store-backed prior
+            # queries sqlite, whose connections must not cross a fork.
+            prior = _ResolvedPrior(prior.prior_for(self.lut, self.config.discount))
+        shards = [part.tolist() for part in np.array_split(self.seeds, processes)]
+        context = multiprocessing.get_context("fork")
+        children = []
+        try:
+            for seeds in shards[:-1]:
+                receiver, sender = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_shard_main,
+                    args=(self, seeds, prior, sender),
+                    daemon=True,
+                )
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", message=_FORK_WARNING, category=DeprecationWarning
+                    )
+                    child.start()
+                # Closed here so a child that dies unheard reads as EOF.
+                sender.close()
+                children.append((child, receiver, seeds))
+            own = self._run_shard(shards[-1], prior)
+            results = []
+            for child, receiver, seeds in children:
+                results.extend(_receive(child, receiver, seeds))
+            results.extend(own)
+        finally:
+            for child, receiver, _ in children:
+                receiver.close()
+                if child.exitcode is None:
+                    child.kill()
+                child.join()
+        wall = time.perf_counter() - started
+        for result in results:
+            result.wall_clock_s = wall / len(results)
+        return results, wall
+
+    def _run_shard(self, seeds: list[int], prior) -> list[SearchResult]:
+        """Run ``seeds`` in this process through the kind they route to."""
+        shard = MultiSeedSearch(self.lut, self.config, seeds=seeds, prior=prior)
+        results, _, _ = run_episodes(
+            shard, shard._runner_kind(), shard.seeds, "multi-seed"
+        )
+        return results
 
     def _runner_kind(self):
         """The routing rule of the module docstring."""
@@ -185,6 +318,44 @@ class MultiSeedSearch:
         ):
             return VectorizedKind(self.engine, self.indexed, cfg, num_seeds)
         return ScalarKind(self.engine, self.indexed, cfg, num_seeds)
+
+
+class _ResolvedPrior:
+    """A prior already resolved to its flat block (None: cold)."""
+
+    def __init__(self, values: np.ndarray | None) -> None:
+        self._values = values
+
+    def prior_for(self, lut, discount: float = 0.9) -> np.ndarray | None:
+        """The block resolved before the fork, whatever the arguments."""
+        return self._values
+
+
+def _shard_main(search: MultiSeedSearch, seeds, prior, sender) -> None:
+    """A forked child's body: run its shard, send back the results or
+    the error that stopped it."""
+    try:
+        message = ("ok", search._run_shard(seeds, prior))
+    except Exception as error:  # the parent raises it
+        message = ("error", f"{type(error).__name__}: {error}")
+    sender.send(message)
+    sender.close()
+
+
+def _receive(child, receiver, seeds) -> list[SearchResult]:
+    """One child's members, or :class:`SearchError` naming its seeds."""
+    try:
+        status, payload = receiver.recv()
+    except EOFError:
+        child.join()
+        raise SearchError(
+            f"sweep shard for seeds {seeds} exited with code "
+            f"{child.exitcode} before sending its results"
+        ) from None
+    child.join()
+    if status != "ok":
+        raise SearchError(f"sweep shard for seeds {seeds} failed: {payload}")
+    return payload
 
 
 class VectorizedKind:

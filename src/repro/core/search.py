@@ -235,6 +235,7 @@ def run_episodes(
     epsilon_trace: list[float] = []
     start_episode = 0
     elapsed_s = 0.0
+    learning = ckpt_mod.learning_settings(cfg)
     if resume is not None:
         ckpt_mod.check_resume(
             resume,
@@ -244,6 +245,7 @@ def run_episodes(
             episodes=episodes,
             seeds=seeds,
             warm_start=cfg.warm_start,
+            learning=learning,
         )
         start_episode = int(resume["episode"])
         elapsed_s = float(resume.get("elapsed_s", 0.0))
@@ -363,6 +365,7 @@ def run_episodes(
                 kernel=cfg.kernel,
                 elapsed_s=elapsed_s + (time.perf_counter() - started),
                 epsilon_trace=epsilon_trace,
+                learning=learning,
                 warm_start=cfg.warm_start,
                 seed_snaps=[
                     ckpt_mod.seed_snapshot(

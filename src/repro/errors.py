@@ -62,10 +62,11 @@ class ScheduleError(ReproError):
 
 
 class SearchError(ReproError):
-    """The RL search was configured inconsistently.
+    """The RL search was configured inconsistently, or failed to run.
 
     Examples: an epsilon schedule whose episode counts do not add up, a
-    non-positive learning rate, or an empty action set for some layer.
+    non-positive learning rate, an empty action set for some layer, or
+    a multi-seed sweep shard whose process failed or died.
     """
 
 

@@ -155,6 +155,10 @@ DEFAULT_PRIORITY = 10
 #: Also the idle timeout of a kept-alive connection between requests.
 REQUEST_READ_TIMEOUT_S = 30.0
 
+#: Seconds shutdown waits for the handlers of severed connections to
+#: return.
+HANDLER_EXIT_TIMEOUT_S = 5.0
+
 #: Requests served on one keep-alive connection before the server
 #: answers ``Connection: close`` — bounds per-connection state and
 #: gives load balancers a natural rebalancing point.
@@ -465,7 +469,8 @@ class CampaignService:
         #: per LUT key, owned by the service and unlinked at shutdown.
         self._shared_tables: dict[LutKey, SharedCostTables] = {}
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Open client connections and the handler task serving each.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._closing = False
         self._closed = asyncio.Event()
         self.port: int | None = None
@@ -1739,10 +1744,15 @@ class CampaignService:
         # this, wait_closed() on Python >= 3.12.1 blocks until every
         # connection handler returns, so one idle client would hang
         # shutdown forever.
+        handlers = list(self._connections.values())
         for writer in list(self._connections):
             writer.close()
         if self._server is not None:
             await self._server.wait_closed()
+        # A severed handler still has to see EOF and return: await them
+        # (bounded), so none is left pending when the loop stops.
+        if handlers:
+            await asyncio.wait(handlers, timeout=HANDLER_EXIT_TIMEOUT_S)
         # Lease-table hygiene: nothing is running any more, so any row
         # still `active` (e.g. local leases when a worker task was
         # killed mid-await) must not look live to the next process
@@ -1767,7 +1777,7 @@ class CampaignService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         served = 0
         try:
             while True:
@@ -1809,7 +1819,7 @@ class CampaignService:
         except ConnectionError:
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -26,6 +26,7 @@ from repro.core.checkpoint import (
     decode_checkpoint,
     encode_checkpoint,
 )
+from repro.core.epsilon import EpsilonSchedule
 from repro.core.kernels import numba_available
 from repro.errors import CheckpointError, ConfigError, PreemptedError
 
@@ -146,19 +147,52 @@ class TestCheckpointCodec:
             dict(replay_enabled=False),
             dict(replay_enabled=False, first_visit_bootstrap=True),
         ),
+        (dict(), dict(learning_rate=0.5)),
+        (dict(), dict(discount=0.5)),
+        (dict(), dict(reward_shaping=False)),
+        (dict(), dict(epsilon=EpsilonSchedule.linear(60))),
     ])
     def test_resume_rejects_state_of_another_config(
         self, seeds, kernel, captured, resumed
     ):
         """The learning state must fit the resuming search: a replay
         ring exactly when replay is on, filled as far as the episode
-        index says, and Q/row-max/visited blocks of its layout."""
+        index says, Q/row-max/visited blocks of its layout, and the
+        same learning rate, discount, reward shaping and epsilon."""
         lut = synthetic_chain_lut(5, 3, seed=21)
         ckpt = _capture_at(lut, _config(kernel=kernel, **captured), 40, seeds)
         with pytest.raises(CheckpointError):
             _search(lut, _config(kernel=kernel, **resumed), seeds).run(
                 resume=ckpt
             )
+
+    def test_checkpoint_without_learning_settings_still_resumes(self):
+        """A checkpoint captured before the learning settings were
+        recorded carries no ``learning`` key and resumes as before."""
+        lut = synthetic_chain_lut(5, 3, seed=21)
+        plain = QSDNNSearch(lut, _config()).run()
+        ckpt = _capture_at(lut, _config(), 40)
+        assert ckpt["learning"]["learning_rate"] == 0.05
+        del ckpt["learning"]
+        resumed = QSDNNSearch(lut, _config()).run(resume=ckpt)
+        assert resumed.best_ms == plain.best_ms
+        assert resumed.curve_ms == plain.curve_ms
+
+    def test_equal_epsilon_per_episode_is_the_same_schedule(self):
+        """Epsilon is compared per episode: empty phases and split
+        runs of one value do not make another schedule."""
+        from repro.core.epsilon import EpsilonPhase
+
+        lut = synthetic_chain_lut(5, 3, seed=21)
+        split = EpsilonSchedule([
+            EpsilonPhase(1.0, 20), EpsilonPhase(0.5, 0), EpsilonPhase(1.0, 40),
+        ])
+        ckpt = _capture_at(lut, _config(epsilon=split), 40)
+        resumed = QSDNNSearch(
+            lut, _config(epsilon=EpsilonSchedule.constant(1.0, 60))
+        ).run(resume=ckpt)
+        plain = QSDNNSearch(lut, _config(epsilon=split)).run()
+        assert resumed.curve_ms == plain.curve_ms
 
     def test_warm_checkpoints_record_the_kind(self):
         """A warm run's checkpoint names its prior kind; a cold run's

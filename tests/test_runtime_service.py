@@ -316,6 +316,32 @@ class TestShutdown:
             task = live.service._shutdown_task
             assert task is not None and task.done()
 
+    def test_shutdown_awaits_keep_alive_handlers(self):
+        """A kept-alive connection's handler has returned by the time
+        ``shutdown()`` does, so stopping the loop destroys no pending
+        task."""
+
+        async def handlers_left_after_shutdown():
+            service = CampaignService(ServiceConfig(port=0, workers=0))
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert b"keep-alive" in head.lower()
+            await service.shutdown()
+            left = [
+                task for task in asyncio.all_tasks()
+                if not task.done()
+                and task.get_coro().__qualname__ == "CampaignService._handle_client"
+            ]
+            writer.close()
+            return left
+
+        assert asyncio.run(handlers_left_after_shutdown()) == []
+
 
 class TestValidation:
     def test_bad_submissions_are_400(self):

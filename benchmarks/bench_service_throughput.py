@@ -9,11 +9,13 @@ plus submit→result latency in three configurations:
 
 * ``local`` — the service's own process pool (2 workers), the
   no-network reference point.
-* ``fleet_legacy`` — 2 in-process fleet workers speaking the
-  pre-batching protocol: one job per lease, a fresh TCP connection
+* ``fleet_legacy`` — 2 in-process fleet workers with the
+  pre-batching settings: one job per lease, a fresh TCP connection
   per request (``keep_alive=False``), rollback-journal store with one
-  commit per write.  This is the baseline the tentpole is measured
-  against.
+  commit per write.  It speaks the same protocol as the batched arm —
+  each one-job lease delivers a batch of one through
+  ``POST /leases/{id}/results`` — so it measures those settings, not
+  a separate protocol.
 * ``fleet_batched`` — the same 2 workers with batched leases
   (``lease_batch``), persistent keep-alive connections, and a
   WAL + group-commit store; every result batch lands through one

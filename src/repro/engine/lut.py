@@ -27,6 +27,10 @@ from repro.hw.processor import ProcessorKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.pricing import CostEngine
 
+#: The JSON layout :meth:`LatencyTable.to_json` writes — and the only
+#: one :meth:`LatencyTable.from_json` reads.
+LUT_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class PrimitiveMeta:
@@ -180,14 +184,15 @@ class LatencyTable:
     # -- serialization ----------------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize to a JSON string (format 2).
+        """Serialize to a JSON string (format 2, the only format read).
 
         Edge-keyed tables (``conversion_ms``/``transfer_ms``) are
         stored as ``[[producer, consumer], value]`` pairs — JSON has no
-        tuple keys, and the format-1 ``"producer->consumer"`` string
-        keys could not be split back unambiguously for layer names
-        containing ``->``.  Such names are rejected outright: a
-        format-1 reader of this payload would silently mis-parse them.
+        tuple keys, and the old format-1 ``"producer->consumer"``
+        string keys could not be split back unambiguously for layer
+        names containing ``->``.  Such names are still rejected
+        outright: a format-1 reader of this payload (an older release)
+        would silently mis-parse them.
         """
         ambiguous = sorted(name for name in self.layers if "->" in name)
         if ambiguous:
@@ -196,7 +201,7 @@ class LatencyTable:
                 "ambiguous in serialized edge keys; rename the layers"
             )
         payload = {
-            "format": 2,
+            "format": LUT_FORMAT,
             "graph_name": self.graph_name,
             "mode": self.mode,
             "platform_name": self.platform_name,
@@ -232,36 +237,26 @@ class LatencyTable:
 
     @staticmethod
     def _edge_items(table) -> list[tuple[tuple[str, str], object]]:
-        """Normalize an edge-keyed JSON table to ``((u, v), value)`` pairs.
-
-        Format 2 stores ``[[u, v], value]`` pairs; format 1 stored
-        ``"u->v"`` string keys, which are still read but rejected when
-        the split is ambiguous (a layer name containing ``->`` would
-        otherwise be reassembled into the wrong edge and silently
-        corrupt the penalty tables).
-        """
-        if isinstance(table, list):  # format 2
-            items = []
-            for pair, value in table:
-                u, v = pair
-                items.append(((str(u), str(v)), value))
-            return items
-        items = []
-        for key, value in table.items():  # format 1 (legacy)
-            parts = key.split("->")
-            if len(parts) != 2:
-                raise ProfilingError(
-                    f"ambiguous legacy edge key {key!r}: layer names "
-                    "containing '->' cannot be split back; re-profile "
-                    "and re-save the LUT in the current format"
-                )
-            items.append(((parts[0], parts[1]), value))
-        return items
+        """Normalize an edge-keyed table's ``[[u, v], value]`` pairs to
+        ``((u, v), value)``."""
+        return [((str(u), str(v)), value) for (u, v), value in table]
 
     @classmethod
     def from_json(cls, text: str) -> "LatencyTable":
-        """Deserialize a LUT saved by :meth:`to_json` (format 1 or 2)."""
+        """Deserialize a LUT saved by :meth:`to_json`.
+
+        Only format 2 is read.  Any other payload — including format 1,
+        which carried no ``"format"`` field — raises
+        :class:`ProfilingError` naming its format, rather than pricing
+        a table whose layout was guessed: re-profile to rebuild it.
+        """
         payload = json.loads(text)
+        found = payload.get("format", 1) if isinstance(payload, dict) else None
+        if found != LUT_FORMAT:
+            raise ProfilingError(
+                f"LUT payload is format {found!r}; only format {LUT_FORMAT} "
+                "is read — re-profile the network to rebuild it"
+            )
         meta = {
             uid: PrimitiveMeta(
                 uid=uid,
@@ -295,8 +290,9 @@ class LatencyTable:
             },
             meta=meta,
             profiling_inferences=int(payload.get("profiling_inferences", 0)),
-            # Format-1 payloads carried no depths; the empty default
-            # lets __post_init__ rebuild the positional fallback.
+            # Payloads saved before depths were serialized carry none;
+            # the empty default lets __post_init__ rebuild the
+            # positional fallback.
             layer_depth={
                 str(k): int(v)
                 for k, v in payload.get("layer_depth", {}).items()

@@ -242,11 +242,11 @@ class ServiceClient:
     def lease(self, worker_id: str, max_jobs: int = 1) -> dict | None:
         """``POST /leases`` — claim the next queued job(s).
 
-        Returns the grant (``lease`` + ``job``, plus ``jobs`` listing
-        the whole batch) or None when the queue is empty (HTTP 204) —
-        poll again later.  ``max_jobs > 1`` asks for a *batch* lease:
-        up to that many jobs under one lease id and one heartbeat
-        (the service clamps to its ``lease_batch_limit``).
+        Returns the grant (``lease`` plus ``jobs``, the leased job
+        records in priority order) or None when the queue is empty
+        (HTTP 204) — poll again later.  ``max_jobs > 1`` asks for up to
+        that many jobs under one lease id and one heartbeat (the
+        service clamps to its ``lease_batch_limit``).
         """
         body: dict = {"worker": worker_id}
         if max_jobs != 1:
@@ -290,25 +290,18 @@ class ServiceClient:
         body = {"checkpoints": checkpoints} if checkpoints else None
         return self._checked_lease(f"/leases/{lease_id}/heartbeat", body)
 
-    def submit_result(self, lease_id: str, outcome: dict) -> dict:
-        """``POST /leases/{id}/result`` — deliver the executed job.
-
-        ``outcome`` is either an encoded payload (``payload_kind`` /
-        ``payload`` / ``wall_clock_s`` / ``lut_from_cache``) or an
-        ``{"error": ...}`` job failure.  Raises
-        :class:`LeaseExpiredError` when the lease expired first (the
-        job was requeued; discard the work).
-        """
-        return self._checked_lease(f"/leases/{lease_id}/result", outcome)
-
     def submit_results(self, lease_id: str, outcomes: list[dict]) -> dict:
-        """``POST /leases/{id}/results`` — deliver a whole lease batch.
+        """``POST /leases/{id}/results`` — deliver a lease's results.
 
-        Each outcome is the :meth:`submit_result` body plus a
-        ``job_id`` attributing it to one job of the batch.  The
-        response carries a per-job ``results`` status array and the
-        ids of any jobs the service requeued (``requeued``) — one
-        job's failure never poisons its siblings.
+        The one result route; a one-job lease delivers a list of one.
+        Each outcome carries the ``job_id`` it answers plus either an
+        encoded payload (``payload_kind`` / ``payload`` /
+        ``wall_clock_s`` / ``lut_from_cache``) or an ``{"error": ...}``
+        job failure.  The response carries a per-job ``results`` status
+        array and the ids of any jobs the service requeued
+        (``requeued``) — one job's failure never poisons its siblings.
+        Raises :class:`LeaseExpiredError` when the lease expired first
+        (its jobs were requeued; discard the work).
         """
         return self._checked_lease(
             f"/leases/{lease_id}/results", {"results": outcomes}

@@ -113,14 +113,6 @@ class LutKey:
         """Entry file name inside the shard directory."""
         return f"{self.mode}__seed{self.seed}__r{self.repeats}__v{self.version}.json"
 
-    @property
-    def legacy_filename(self) -> str:
-        """The pre-sharding flat file name (read-compatibility)."""
-        return (
-            f"{self.platform}__{self.network}__{self.mode}"
-            f"__seed{self.seed}__r{self.repeats}__v{self.version}.json"
-        )
-
     def query(self) -> dict[str, str]:
         """The HTTP query parameters addressing this key's entry."""
         return {
@@ -169,19 +161,22 @@ class LutKey:
             return None
 
 
-def validate_entry(text: str, key: LutKey) -> LatencyTable:
+def validate_entry(text: str, key: LutKey, where: str | None = None) -> LatencyTable:
     """Parse a cache entry and check it matches its key.
 
     Any tier may hand back bytes (disk, network); before those bytes
     are priced or republished they must parse as a LUT whose identity
-    fields agree with the key they were resolved under.
+    fields agree with the key they were resolved under.  ``where``
+    names the entry's location in the error (default: its shard path);
+    a local entry passes its file path, so a stale or corrupt file is
+    named, not silently re-profiled.
     """
+    where = where or f"{key.shard}/{key.filename}"
     try:
         lut = LatencyTable.from_json(text)
     except Exception as error:
         raise LutCacheError(
-            f"cache entry for {key.shard}/{key.filename} is not a valid "
-            f"LUT: {type(error).__name__}: {error}"
+            f"cache entry {where} is not a valid LUT: {type(error).__name__}: {error}"
         ) from error
     mismatches = [
         f"{field_name}={actual!r} (key says {expected!r})"
@@ -194,8 +189,7 @@ def validate_entry(text: str, key: LutKey) -> LatencyTable:
     ]
     if mismatches:
         raise LutCacheError(
-            f"cache entry for {key.shard}/{key.filename} mismatches its "
-            f"key: {', '.join(mismatches)}"
+            f"cache entry {where} mismatches its key: {', '.join(mismatches)}"
         )
     return lut
 
@@ -213,9 +207,9 @@ class ShardStats:
 class LocalTier:
     """The on-disk shard tree: ``root/platform/network/entry.json``.
 
-    Also reads (and migrates) entries written by the old flat layout
-    (``root/platform__network__mode__....json``), so a pre-sharding
-    cache directory keeps its hits.
+    The shard tree is the only layout read: files of the old flat
+    layout (``root/platform__network__mode__....json``) are not
+    entries.
     """
 
     #: Failures of this tier abort resolution (local disk problems are
@@ -231,19 +225,14 @@ class LocalTier:
         """Where a key's entry lives in the shard tree."""
         return self.root / key.platform / key.network / key.filename
 
+    def location(self, key: LutKey) -> str:
+        """The entry's file path (names it in validation errors)."""
+        return str(self.path_for(key))
+
     def get(self, key: LutKey) -> str | None:
         """The entry's JSON text, or None on a miss."""
         path = self.path_for(key)
-        if path.exists():
-            return path.read_text()
-        legacy = self.root / key.legacy_filename
-        if legacy.exists():
-            # Migrate a flat-layout entry into its shard so subsequent
-            # reads (and the index, and remote serving) see it.
-            text = legacy.read_text()
-            self.put(key, text)
-            return text
-        return None
+        return path.read_text() if path.exists() else None
 
     def put(self, key: LutKey, text: str) -> Path:
         """Atomically publish an entry and refresh the shard index."""
@@ -290,21 +279,13 @@ class LocalTier:
     # -- maintenance ---------------------------------------------------------
 
     def keys(self) -> list[LutKey]:
-        """Every entry key in the tree (sharded and legacy-flat)."""
+        """Every entry key in the shard tree."""
         found = []
-        if not self.root.exists():
-            return found
         for path in sorted(self.root.glob("*/*/*.json")):
             platform, network = path.parent.parent.name, path.parent.name
             key = LutKey.from_entry_name(platform, network, path.name)
             if key is not None:
                 found.append(key)
-        for path in sorted(self.root.glob("*.json")):
-            parts = path.name[: -len(".json")].split("__", 2)
-            if len(parts) == 3:
-                key = LutKey.from_entry_name(parts[0], parts[1], parts[2] + ".json")
-                if key is not None and key not in found:
-                    found.append(key)
         return found
 
     def stats(self) -> list[ShardStats]:
@@ -313,10 +294,7 @@ class LocalTier:
         for key in self.keys():
             stat = per_shard.setdefault(key.shard, ShardStats(shard=key.shard))
             stat.entries += 1
-            path = self.path_for(key)
-            if not path.exists():  # legacy-flat only
-                path = self.root / key.legacy_filename
-            stat.bytes += path.stat().st_size
+            stat.bytes += self.path_for(key).stat().st_size
             stat.versions.add(key.version)
         return [per_shard[shard] for shard in sorted(per_shard)]
 
@@ -333,11 +311,10 @@ class LocalTier:
         for key in self.keys():
             if key.version == keep_version:
                 continue
-            for path in (self.path_for(key), self.root / key.legacy_filename):
-                if path.exists():
-                    reclaimed += path.stat().st_size
-                    path.unlink()
-                    removed += 1
+            path = self.path_for(key)
+            reclaimed += path.stat().st_size
+            path.unlink()
+            removed += 1
             touched.add((key.platform, key.network))
         for tmp in self.root.glob("**/*.tmp"):
             reclaimed += tmp.stat().st_size
@@ -368,6 +345,10 @@ class RemoteTier:
         self.url = url
         self.client = ServiceClient(url, timeout=timeout)
         self.name = f"remote:{url}"
+
+    def location(self, key: LutKey) -> str:
+        """The entry's address on the remote (names it in errors)."""
+        return f"{self.url}/luts/{key.shard}/{key.filename}"
 
     def _call(self, what: str, call):
         """Run one client call, wrapping every remote failure.
@@ -471,7 +452,7 @@ class TieredLutCache:
                 text = tier.get(key)
                 if text is None:
                     continue
-                lut = validate_entry(text, key)
+                lut = validate_entry(text, key, tier.location(key))
             except (LutCacheError, ServiceError) as error:
                 if not tier.soft:
                     raise
@@ -506,7 +487,7 @@ class TieredLutCache:
                 text = tier.get(key)
                 if text is None:
                     continue
-                return validate_entry(text, key)
+                return validate_entry(text, key, tier.location(key))
             except (LutCacheError, ServiceError):
                 if not tier.soft:
                     raise

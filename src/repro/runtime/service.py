@@ -47,15 +47,16 @@ This module is that service layer:
   its key before it is stored).
 * **Worker fleet (pull protocol)** — remote hosts run ``repro work
   --server URL`` (:mod:`repro.runtime.worker`): they register over
-  ``POST /workers``, lease queued jobs one at a time over
-  ``POST /leases``, extend their claim with
-  ``POST /leases/{id}/heartbeat`` and stream results back through
-  ``POST /leases/{id}/result`` — landing in the same
-  :class:`ResultStore`, bitwise-identical to local execution.  A
-  missed heartbeat (worker crash, network partition) expires the
-  lease and requeues the job with a bounded retry budget; the local
-  process pool is just another worker of the same protocol (its
-  leases never expire — liveness is structural).
+  ``POST /workers``, lease a batch of up to ``max_jobs`` queued jobs
+  under one lease over ``POST /leases``, extend their claim with
+  ``POST /leases/{id}/heartbeat`` and deliver every result of the
+  lease in one ``POST /leases/{id}/results`` (a one-job lease is a
+  batch of one) — landing in the same :class:`ResultStore`,
+  bitwise-identical to local execution.  A missed heartbeat (worker
+  crash, network partition) expires the lease and requeues its jobs
+  with a bounded retry budget; the local process pool is just another
+  worker of the same lease table (its leases never expire — liveness
+  is structural).
 * **Tenancy guards** — per-tenant (``X-Tenant`` header) token-bucket
   rate limits and active-job admission quotas on ``POST /jobs``, both
   answering 429 + ``Retry-After`` so one tenant cannot starve the
@@ -77,11 +78,7 @@ the repo does — no aiohttp, no frameworks.  Connections are
 **keep-alive** by default (bounded per connection by
 ``MAX_REQUESTS_PER_CONNECTION`` and the request read timeout), so a
 worker's whole lease/heartbeat/result dialogue rides one TCP stream.
-Workers may also lease in *batches* (``POST /leases`` with
-``max_jobs``) and deliver every result of a batch in one
-``POST /leases/{id}/results`` — the single-job endpoints remain for
-compatibility.  Every endpoint is documented with examples in
-``docs/service.md``.
+Every endpoint is documented with examples in ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -166,7 +163,7 @@ MAX_REQUESTS_PER_CONNECTION = 1000
 
 #: Maximum accepted request body (JSON job submissions are tiny; an
 #: unbounded Content-Length would let any client allocate server
-#: memory at will).  Batch result delivery gets a bigger allowance —
+#: memory at will).  Result delivery gets a bigger allowance —
 #: see :meth:`CampaignService._body_limit`.
 MAX_BODY_BYTES = 1 << 20
 
@@ -559,8 +556,8 @@ class CampaignService:
         )
         self._h_result_bytes = m.histogram(
             "repro_result_payload_bytes",
-            "Request body bytes of result submissions "
-            "(single and batch endpoints).",
+            "Request body bytes of result deliveries "
+            "(POST /leases/{id}/results).",
             buckets=(1024, 8192, 65536, 262144, 1048576),
         )
         self._h_flush = m.histogram(
@@ -757,10 +754,33 @@ class CampaignService:
         return True
 
     def _mark_cancelled(self, record: JobRecord) -> None:
-        record.state = CANCELLED
-        record.finished_s = time.time()
-        self._active.pop(job_key(record.job), None)
         self._pending -= 1
+        self._end_job(record, CANCELLED)
+
+    def _end_job(
+        self,
+        record: JobRecord,
+        state: str,
+        error: str | None = None,
+        result: CampaignResult | None = None,
+    ) -> None:
+        """Move a record to a terminal state — the one way a job ends.
+
+        Stamps ``finished_s`` first, then ``error``/``result``, then
+        ``state``: observers on other threads (status endpoints, the
+        live-service test fixtures) treat a terminal state as "finished_s
+        and the outcome are set".  Only then does the job key leave
+        ``_active`` and progress streams wake.  Per-path work (lease
+        state, metrics, busy accounting, checkpoint and spool cleanup)
+        stays with the callers.
+        """
+        record.finished_s = time.time()
+        if error is not None:
+            record.error = error
+        if result is not None:
+            record.result = result
+        record.state = state
+        self._active.pop(job_key(record.job), None)
         record.done_event.set()
 
     def preempt(self, record: JobRecord) -> bool:
@@ -819,12 +839,8 @@ class CampaignService:
             )
         record.lease_id = None
         record.worker = None
-        record.state = CANCELLED
-        record.error = "preempted; lease revoked"
-        record.finished_s = time.time()
         self._m_preempted.inc()
-        self._active.pop(key, None)
-        record.done_event.set()
+        self._end_job(record, CANCELLED, error="preempted; lease revoked")
         return True
 
     def stats(self) -> dict:
@@ -868,24 +884,17 @@ class CampaignService:
         self.workers_info[worker_id] = info
         return info
 
-    def lease_next(self, worker_id: str) -> JobRecord | None:
-        """Grant the highest-priority queued job to ``worker_id``.
-
-        Returns None when the queue holds nothing runnable (the worker
-        should poll again after ``poll_s``).  Raises
-        :class:`LeaseError` for unregistered workers — registration is
-        what makes a crash attributable in ``GET /workers``.
-        """
-        records = self.lease_batch(worker_id, 1)
-        return records[0] if records else None
-
     def lease_batch(self, worker_id: str, max_jobs: int = 1) -> list[JobRecord]:
         """Grant up to ``max_jobs`` queued jobs under ONE lease.
 
         The batch shares a lease id, deadline and heartbeat: one
         round-trip claims it, one heartbeat keeps all of it alive, and
         a crash requeues all of it (each job keeping its own attempt
-        budget).  Returns ``[]`` when the queue holds nothing runnable.
+        budget).  Jobs leave the queue in priority order.  Returns
+        ``[]`` when the queue holds nothing runnable (the worker polls
+        again later).  Raises :class:`LeaseError` for unregistered
+        workers — registration is what makes a crash attributable in
+        ``GET /workers``.
         """
         info = self.workers_info.get(worker_id)
         if info is None:
@@ -911,11 +920,6 @@ class CampaignService:
             return []
         self._grant_batch(records, info)
         return records
-
-    def _grant(self, record: JobRecord, info: WorkerInfo) -> JobRecord:
-        """Move a queued record to running under a fresh lease."""
-        self._grant_batch([record], info)
-        return record
 
     def _grant_batch(self, records: list[JobRecord], info: WorkerInfo) -> None:
         """Move queued records to running under one fresh lease."""
@@ -950,36 +954,28 @@ class CampaignService:
         result: CampaignResult | None,
         error: str | None,
         persist: bool = True,
-        finish_lease: bool = True,
     ) -> None:
         """Common terminal path for local and fleet execution.
 
-        Persists the payload, closes the lease row, updates worker
-        accounting and metrics, and wakes progress streams.  Store
-        failures degrade to a served-from-memory result with a note in
-        ``record.error`` — they never kill the caller.
+        Ends the record (:meth:`_end_job`), closes the lease row,
+        persists the payload, and updates worker accounting and
+        metrics.  Store failures degrade to a served-from-memory result
+        with a note in ``record.error`` — they never kill the caller.
 
-        Batch result delivery passes ``persist=False`` (the whole
-        batch lands through one :meth:`ResultStore.put_many`) and
-        ``finish_lease=False`` (one lease covers many records; the
-        caller closes it once).
+        Result delivery passes ``persist=False``: the whole lease lands
+        through one :meth:`ResultStore.put_many`, and the caller closes
+        the one lease row that covers every record.
         """
-        if finish_lease and record.lease_id is not None:
+        if persist and record.lease_id is not None:
             self.store.finish_lease(
                 record.lease_id,
                 LEASE_COMPLETED if error is None else LEASE_FAILED,
             )
-        # Stamp the finish time *before* flipping the state: observers
-        # on other threads (status endpoints, benchmarks) treat a
-        # terminal state as "finished_s is set".
-        record.finished_s = time.time()
         if error is not None:
-            record.error = error
-            record.state = FAILED
+            self._end_job(record, FAILED, error=error)
         else:
             assert result is not None
-            record.result = result
-            record.state = DONE
+            self._end_job(record, DONE, result=result)
             if persist:
                 try:
                     self.store.put(record.job, result.payload, result.wall_clock_s)
@@ -996,10 +992,7 @@ class CampaignService:
                 self._m_lut_misses.inc()
         worker_id = record.worker or "unknown"
         if info is not None:
-            busy = record.finished_s - (record.started_s or record.finished_s)
-            info.busy_s += busy
-            info.last_seen_s = record.finished_s
-            self._m_busy.inc(busy, worker=info.id)
+            self._account_busy(record, info)
             if error is None:
                 info.completed += 1
             else:
@@ -1008,7 +1001,6 @@ class CampaignService:
             self._m_completed.inc(worker=worker_id)
         else:
             self._m_failed.inc(worker=worker_id)
-        key = job_key(record.job)
         # Checkpoint hygiene: a finished job's snapshot is dead weight
         # (and must not resurrect as a stale resume).  Guarded so the
         # common checkpointing-off path pays no store round-trip.
@@ -1017,13 +1009,19 @@ class CampaignService:
             or record.progress is not None
             or record.resume_text is not None
         ):
+            key = job_key(record.job)
             try:
                 self.store.delete_checkpoint(key)
             except Exception:
                 pass
             self._clear_spool(key)
-        self._active.pop(key, None)
-        record.done_event.set()
+
+    def _account_busy(self, record: JobRecord, info: WorkerInfo) -> None:
+        """Charge a finished record's run time to the worker that ran it."""
+        busy = record.finished_s - (record.started_s or record.finished_s)
+        info.busy_s += busy
+        info.last_seen_s = record.finished_s
+        self._m_busy.inc(busy, worker=info.id)
 
     async def _worker(self, index: int) -> None:
         loop = asyncio.get_running_loop()
@@ -1034,7 +1032,7 @@ class CampaignService:
                 return
             if record.state != QUEUED:  # cancelled while queued
                 continue
-            self._grant(record, info)
+            self._grant_batch([record], info)
             try:
                 # Synchronous on purpose: a quick local-tier read plus
                 # a small tensor pack, and keeping it off a helper
@@ -1137,22 +1135,19 @@ class CampaignService:
             }
         if record.lease_id is not None:
             self.store.finish_lease(record.lease_id, LEASE_RELEASED)
-        record.finished_s = time.time()
-        record.error = (
-            f"preempted at episode {episode}"
-            if episode is not None
-            else "preempted"
+        self._end_job(
+            record,
+            CANCELLED,
+            error=(
+                f"preempted at episode {episode}"
+                if episode is not None
+                else "preempted"
+            ),
         )
-        record.state = CANCELLED
         if info is not None:
-            busy = record.finished_s - (record.started_s or record.finished_s)
-            info.busy_s += busy
-            info.last_seen_s = record.finished_s
-            self._m_busy.inc(busy, worker=info.id)
+            self._account_busy(record, info)
         self._m_preempted.inc()
         self._clear_spool(key)
-        self._active.pop(key, None)
-        record.done_event.set()
 
     def _recover_crashed(self, record: JobRecord, info: WorkerInfo | None) -> None:
         """Crash recovery for a local pool job whose process died.
@@ -1232,71 +1227,17 @@ class CampaignService:
                     "best_ms": float(meta["best_ms"]),
                 }
 
-    def finish_remote(self, lease_id: str, body) -> tuple[int, dict]:
-        """Apply a fleet worker's ``POST /leases/{id}/result``.
-
-        Returns ``(status, response_body)``.  First submission on an
-        active lease lands the payload in the result store exactly as
-        local execution would (the wire JSON round-trips floats
-        bitwise); a duplicate on a completed lease is idempotent
-        (``accepted: false``); submission on an expired/released lease
-        raises :class:`LeaseExpiredError` — the job was requeued, and
-        the retry will produce identical bits anyway.
-        """
-        if not isinstance(body, dict):
-            raise ConfigError("result submission body must be a JSON object")
-        lease = self.store.get_lease(lease_id)
-        if lease is None:
-            raise LeaseError(f"unknown lease {lease_id!r}")
-        if len(lease.job_ids) > 1:
-            raise ConfigError(
-                f"lease {lease_id!r} covers {len(lease.job_ids)} jobs; "
-                "deliver a batch through POST /leases/{id}/results"
-            )
-        record = self.records.get(lease.job_id)
-        if not lease.live:
-            if lease.state in (LEASE_COMPLETED, LEASE_FAILED):
-                return 200, {
-                    "accepted": False,
-                    "duplicate": True,
-                    "lease": lease.to_dict(),
-                    "job_state": record.state if record else None,
-                }
-            raise LeaseExpiredError(
-                f"lease {lease_id!r} is {lease.state}; the job has been "
-                "requeued — discard this result"
-            )
-        if record is None or record.state != RUNNING or record.lease_id != lease_id:
-            raise LeaseExpiredError(f"lease {lease_id!r} no longer owns its job")
-        info = self.workers_info.get(lease.worker)
-        error = body.get("error")
-        if error is not None:
-            # A worker-*reported* error is a job failure (the job ran
-            # and raised), not a worker crash — terminal, no retry.
-            self._finish_record(record, info, None, str(error))
-            return 200, {"accepted": True, "job": record.to_dict()}
-        try:
-            kind = body["payload_kind"]
-            payload = decode_payload(kind, json.dumps(body["payload"]))
-            wall_clock_s = float(body["wall_clock_s"])
-            lut_from_cache = bool(body.get("lut_from_cache", False))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed result submission: {exc}") from None
-        result = CampaignResult(
-            job=record.job,
-            payload=payload,
-            wall_clock_s=wall_clock_s,
-            lut_from_cache=lut_from_cache,
-        )
-        self._finish_record(record, info, result, None)
-        return 200, {"accepted": True, "job": record.to_dict()}
-
     def finish_remote_batch(self, lease_id: str, body) -> tuple[int, dict]:
         """Apply a fleet worker's ``POST /leases/{id}/results``.
 
-        ``body["results"]`` is a list of :meth:`finish_remote` bodies,
-        each carrying the ``job_id`` it answers.  Failure semantics
-        are *per job* — one bad entry never poisons its siblings:
+        The only way a lease's results come back; a one-job lease is a
+        batch of one.  ``body["results"]`` lists one entry per executed
+        job: the ``job_id`` it answers plus either the encoded payload
+        (``payload_kind``/``payload``/``wall_clock_s``/
+        ``lut_from_cache``, as :func:`~repro.runtime.worker.encode_outcome`
+        builds it — the wire JSON round-trips floats bitwise) or an
+        ``{"error": ...}`` job failure.  Failure semantics are *per
+        job* — one bad entry never poisons its siblings:
 
         * a worker-reported ``error`` marks that job failed
           (terminal, status ``failed``);
@@ -1373,12 +1314,10 @@ class CampaignService:
                 continue
             error = entry.get("error")
             if error is not None:
-                # Worker-*reported* job failure: terminal, like the
-                # single-result endpoint.
-                self._finish_record(
-                    record, info, None, str(error),
-                    persist=False, finish_lease=False,
-                )
+                # A worker-*reported* error is a job failure (the job
+                # ran and raised), not a worker crash — terminal, no
+                # retry: searches are deterministic.
+                self._finish_record(record, info, None, str(error), persist=False)
                 statuses.append({"job_id": jid, "status": "failed"})
                 delivered += 1
                 failures += 1
@@ -1420,16 +1359,14 @@ class CampaignService:
                     ]
                 )
             except Exception as exc:
-                # Served from memory, like the single-result path.
+                # Served from memory, like a local job whose put fails.
                 persist_note = (
                     f"result not persisted — {type(exc).__name__}: {exc}"
                 )
             else:
                 self._h_flush.observe(flush_s)
         for record, result in successes:
-            self._finish_record(
-                record, info, result, None, persist=False, finish_lease=False
-            )
+            self._finish_record(record, info, result, None, persist=False)
             if persist_note is not None:
                 record.error = persist_note
             statuses.append({"job_id": record.id, "status": "done"})
@@ -1466,21 +1403,17 @@ class CampaignService:
         record.lease_id = None
         record.worker = None
         if self._closing:
-            record.state = CANCELLED
-            record.error = f"{reason} during shutdown"
-            record.finished_s = time.time()
-            self._active.pop(job_key(record.job), None)
-            record.done_event.set()
+            self._end_job(record, CANCELLED, error=f"{reason} during shutdown")
         elif record.attempts >= self.config.max_lease_retries:
-            record.state = FAILED
-            record.error = (
-                f"{reason} after {record.attempts} attempt(s); "
-                "retry budget exhausted"
-            )
-            record.finished_s = time.time()
-            self._active.pop(job_key(record.job), None)
             self._m_failed.inc(worker=worker or "unknown")
-            record.done_event.set()
+            self._end_job(
+                record,
+                FAILED,
+                error=(
+                    f"{reason} after {record.attempts} attempt(s); "
+                    "retry budget exhausted"
+                ),
+            )
         else:
             # Crash recovery: a requeued job resumes from its latest
             # persisted checkpoint (spooled locally or carried by a
@@ -1708,11 +1641,7 @@ class CampaignService:
                     and record.state == RUNNING
                     and record.lease_id == lease.lease_id
                 ):
-                    record.state = CANCELLED
-                    record.error = "lease released at shutdown"
-                    record.finished_s = time.time()
-                    self._active.pop(job_key(record.job), None)
-                    record.done_event.set()
+                    self._end_job(record, CANCELLED, error="lease released at shutdown")
         for _ in self._workers:
             # Sentinels sort behind every real priority, so a worker
             # only exits once the queue holds nothing runnable.
@@ -1947,9 +1876,6 @@ class CampaignService:
                     lease = self.store.get_lease(records[0].lease_id)
                     grant = {
                         "lease": lease.to_dict(),
-                        # `job`: the first of the batch, kept for
-                        # single-lease (max_jobs=1) compatibility.
-                        "job": records[0].to_dict(),
                         "jobs": [r.to_dict() for r in records],
                         "lease_ttl_s": self.config.lease_ttl_s,
                     }
@@ -1979,15 +1905,6 @@ class CampaignService:
                 await _respond(
                     writer, 200, {"lease": self.heartbeat(parts[1], body)}
                 )
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "leases"
-                and parts[2] == "result"
-            ):
-                self._observe_result_bytes(headers)
-                status, payload = self.finish_remote(parts[1], body)
-                await _respond(writer, status, payload)
             elif (
                 method == "POST"
                 and len(parts) == 3
@@ -2032,9 +1949,9 @@ class CampaignService:
     def _body_limit(self, method: str, path: str) -> int:
         """Maximum request body accepted on this route.
 
-        Batch result delivery (``POST /leases/{id}/results``) carries
-        up to ``lease_batch_limit`` encoded payloads in one body, each
-        of which must individually fit the single-result cap — so its
+        Result delivery (``POST /leases/{id}/results``) carries up to
+        ``lease_batch_limit`` encoded payloads in one body, each of
+        which must individually fit the flat 1 MiB cap — so its
         allowance scales with the batch limit instead of rejecting (and
         thereby discarding) a full batch of executed results at 1 MiB.
         Heartbeats get the same scaled allowance: their checkpoint
@@ -2051,7 +1968,7 @@ class CampaignService:
         return MAX_BODY_BYTES
 
     def _observe_result_bytes(self, headers: dict) -> None:
-        """Feed a result submission's body size to its histogram."""
+        """Feed a result delivery's body size to its histogram."""
         try:
             size = int(headers.get("content-length", "0") or "0")
         except ValueError:
@@ -2078,7 +1995,6 @@ class CampaignService:
                 "GET /workers",
                 "POST /leases",
                 "POST /leases/{id}/heartbeat",
-                "POST /leases/{id}/result",
                 "POST /leases/{id}/results",
                 "POST /shutdown",
             ],

@@ -7,43 +7,46 @@ service never dials out, so workers behind NAT just work):
 1. **Register** — ``POST /workers`` once at startup; the grant carries
    this worker's id, the lease TTL and the suggested heartbeat
    interval.
-2. **Lease** — ``POST /leases`` claims the highest-priority queued
-   job; 204 means "nothing to do, poll again" (idle polls back off
-   exponentially with jitter, capped at the configured interval, so a
-   drained fleet does not hammer the service).  ``--lease-batch N``
-   claims up to N jobs under ONE lease/heartbeat and delivers every
-   result in one ``POST /leases/{id}/results`` — amortising the
-   per-job round-trips that dominate small jobs.
-3. **Heartbeat** — while the job executes (in this process, via
+2. **Lease** — ``POST /leases`` claims up to ``--lease-batch`` queued
+   jobs (default 1) under ONE lease id, deadline and heartbeat,
+   highest priority first; 204 means "nothing to do, poll again"
+   (idle polls back off exponentially with jitter, capped at the
+   configured interval, so a drained fleet does not hammer the
+   service).
+3. **Heartbeat** — while the jobs execute (in this process, via
    :func:`~repro.runtime.campaign.execute_job` — the exact function
    the service's local pool runs), a daemon thread beats
    ``POST /leases/{id}/heartbeat`` every TTL/3 seconds.  A 409 tells
-   the worker it lost the lease (the service requeued the job) and
-   the result must be discarded.
-4. **Result** — ``POST /leases/{id}/result`` delivers the encoded
-   payload.  Encoding goes through
-   :func:`~repro.runtime.store.encode_payload` — the same JSON the
-   result store writes — so a remotely computed result lands in the
-   store bitwise-identical to local execution (shortest-repr floats
-   round-trip exactly).
+   the worker it lost the lease (the service requeued the jobs) and
+   the results must be discarded.
+4. **Results** — one ``POST /leases/{id}/results`` delivers every
+   encoded outcome of the lease (a one-job lease is a batch of one).
+   Encoding goes through :func:`~repro.runtime.store.encode_payload` —
+   the same JSON the result store writes — so a remotely computed
+   result lands in the store bitwise-identical to local execution
+   (shortest-repr floats round-trip exactly).
 
 Worker-side job failures are *reported*, not retried: the job raised,
 so it would raise anywhere (searches are deterministic).  Crashes and
 network partitions are what the lease machinery handles — the service
 requeues after a missed heartbeat, bounded by ``max_lease_retries``.
 
-The worker exits cleanly when the service becomes unreachable or
-starts draining (both look like lease/registration failures after
-retries) — a fleet host is cattle, not a pet.
+One loop (:meth:`FleetWorker.run`) drives every lease → execute →
+deliver step, and a service error or transport failure anywhere in
+that step counts against ``MAX_CONSECUTIVE_ERRORS``.  The worker
+exits cleanly when the service becomes unreachable or starts draining
+— a fleet host is cattle, not a pet.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import (
     ConfigError,
@@ -79,8 +82,8 @@ class WorkerConfig:
     #: Stop after this many executed jobs (0 = run until the service
     #: goes away).
     max_jobs: int = 0
-    #: Jobs to claim per lease (1 = the classic one-job-per-round-trip
-    #: protocol; the service clamps to its ``lease_batch_limit``).
+    #: Jobs to claim per lease (the service clamps to its
+    #: ``lease_batch_limit``).
     lease_batch: int = 1
 
     def __post_init__(self) -> None:
@@ -210,13 +213,21 @@ def encode_outcome(result) -> dict:
 
 
 class FleetWorker:
-    """One worker process: register, then lease/execute/report forever."""
+    """One worker process: register, then lease/execute/deliver.
+
+    ``log`` receives one line per lifecycle event (``repro work``
+    prints them; the default discards them).
+    """
 
     def __init__(
-        self, config: WorkerConfig, client: ServiceClient | None = None
+        self,
+        config: WorkerConfig,
+        client: ServiceClient | None = None,
+        log: Callable[[str], None] | None = None,
     ) -> None:
         self.config = config
         self.client = client or ServiceClient(config.server)
+        self.log = log or (lambda line: None)
         self.stats = WorkerStats()
         self.worker_id: str | None = None
         self.heartbeat_s: float = 10.0
@@ -228,25 +239,41 @@ class FleetWorker:
         self.heartbeat_s = float(
             grant.get("heartbeat_s", grant.get("lease_ttl_s", 30.0) / 3.0)
         )
+        self.log(
+            f"worker {self.worker_id} registered at {self.config.server} "
+            f"(heartbeat {self.heartbeat_s:.3g}s)"
+        )
         return grant
+
+    def _jobs_done(self) -> int:
+        return self.stats.completed + self.stats.failed
 
     def _batch_size(self) -> int:
         """Jobs to request on the next lease (respects ``max_jobs``)."""
         size = self.config.lease_batch
         if self.config.max_jobs:
-            done = self.stats.completed + self.stats.failed
-            size = min(size, max(1, self.config.max_jobs - done))
+            size = min(size, max(1, self.config.max_jobs - self._jobs_done()))
         return size
 
     def run_one(self) -> bool:
-        """Lease and fully process one job batch; False when the queue
+        """Lease, execute and deliver one batch; False when the queue
         was empty."""
         assert self.worker_id is not None, "register() first"
         grant = self.client.lease(self.worker_id, max_jobs=self._batch_size())
         self.stats.polls += 1
         if grant is None:
             return False
-        self._process(grant)
+        lease_id = grant["lease"]["lease_id"]
+        jobs = grant["jobs"]
+        suffix = f", {len(jobs)} jobs" if len(jobs) > 1 else ""
+        self.log(
+            f"worker {self.worker_id} leased {lease_id} "
+            f"({jobs[0]['key']}, attempt {grant['lease']['attempt']}{suffix})"
+        )
+        if self._process(grant):
+            self.log(f"worker {self.worker_id} finished {lease_id}")
+        else:
+            self.log(f"worker {self.worker_id} lost {lease_id} (expired; job requeued)")
         return True
 
     @staticmethod
@@ -263,9 +290,10 @@ class FleetWorker:
 
         return on_checkpoint
 
-    def _process(self, grant: dict) -> None:
+    def _process(self, grant: dict) -> bool:
+        """Execute a grant's jobs and deliver their outcomes; False when
+        the lease was lost before delivery landed."""
         lease_id = grant["lease"]["lease_id"]
-        entries = grant.get("jobs") or [grant["job"]]
         checkpoint_every = int(grant.get("checkpoint_every") or 0) or None
         resume_map = grant.get("resume") or {}
         warm_map = grant.get("warm") or {}
@@ -273,7 +301,7 @@ class FleetWorker:
         beat.start()
         outcomes: list[dict] = []
         try:
-            for entry in entries:
+            for entry in grant["jobs"]:
                 if beat.lost.is_set():
                     # The lease (and with it every job of the batch)
                     # is gone — executing the rest is wasted work.
@@ -312,27 +340,29 @@ class FleetWorker:
             # paused VM): the jobs are already requeued, these results
             # must not race the retries.
             self.stats.lost_leases += 1
-            return
+            return False
         try:
-            if len(entries) == 1:
-                outcome = dict(outcomes[0])
-                outcome.pop("job_id")  # single-result body, as ever
-                self.client.submit_result(lease_id, outcome)
-            else:
-                self.client.submit_results(lease_id, outcomes)
+            self.client.submit_results(lease_id, outcomes)
         except LeaseExpiredError:
             self.stats.lost_leases += 1
-            return
+            return False
         for outcome in outcomes:
             if "error" in outcome:
                 self.stats.failed += 1
             else:
                 self.stats.completed += 1
+        return True
 
     def run(self) -> WorkerStats:
-        """The worker main loop; returns stats when the service goes
-        away or ``max_jobs`` is reached."""
-        self.register()
+        """The worker main loop (after :meth:`register`): lease, execute
+        and deliver until the service goes away or ``max_jobs`` is
+        reached; returns the stats.
+
+        A service error or transport failure anywhere in one lease →
+        execute → deliver step (a restart, or a shutdown that outlasts
+        its drain window) is retried after ``poll_s``; the fifth in a
+        row ends the loop.
+        """
         errors = 0
         idle = 0
         while True:
@@ -341,12 +371,12 @@ class FleetWorker:
             except (ServiceError, OSError):
                 errors += 1
                 if errors >= MAX_CONSECUTIVE_ERRORS:
+                    self.log("service unreachable; exiting")
                     return self.stats
                 time.sleep(self.config.poll_s)
                 continue
             errors = 0
-            done = self.stats.completed + self.stats.failed
-            if self.config.max_jobs and done >= self.config.max_jobs:
+            if self.config.max_jobs and self._jobs_done() >= self.config.max_jobs:
                 return self.stats
             if worked:
                 idle = 0
@@ -361,65 +391,14 @@ def run_worker(config: WorkerConfig) -> int:
     Prints a line per lifecycle event (grep-able by the fleet smoke)
     and a JSON stats summary on exit; Ctrl-C exits cleanly.
     """
-    worker = FleetWorker(config)
+    worker = FleetWorker(config, log=functools.partial(print, flush=True))
     try:
-        grant = worker.register()
+        worker.register()
     except (ServiceError, OSError) as error:
         print(f"cannot register with {config.server}: {error}", flush=True)
         return 1
-    print(
-        f"worker {worker.worker_id} registered at {config.server} "
-        f"(heartbeat {worker.heartbeat_s:.3g}s)",
-        flush=True,
-    )
-    del grant
-    errors = 0
-    idle = 0
     try:
-        while True:
-            try:
-                grant = worker.client.lease(
-                    worker.worker_id, max_jobs=worker._batch_size()
-                )
-                worker.stats.polls += 1
-            except (ServiceError, OSError):
-                errors += 1
-                if errors >= MAX_CONSECUTIVE_ERRORS:
-                    print("service unreachable; exiting", flush=True)
-                    break
-                time.sleep(config.poll_s)
-                continue
-            errors = 0
-            if grant is None:
-                idle += 1
-                time.sleep(idle_backoff(config.poll_s, idle))
-                continue
-            idle = 0
-            lease = grant["lease"]
-            key = grant["job"]["key"]
-            batch = grant.get("jobs") or [grant["job"]]
-            suffix = f", {len(batch)} jobs" if len(batch) > 1 else ""
-            print(
-                f"worker {worker.worker_id} leased {lease['lease_id']} "
-                f"({key}, attempt {lease['attempt']}{suffix})",
-                flush=True,
-            )
-            before = worker.stats.lost_leases
-            worker._process(grant)
-            if worker.stats.lost_leases > before:
-                print(
-                    f"worker {worker.worker_id} lost {lease['lease_id']} "
-                    "(expired; job requeued)",
-                    flush=True,
-                )
-            else:
-                print(
-                    f"worker {worker.worker_id} finished {lease['lease_id']}",
-                    flush=True,
-                )
-            done = worker.stats.completed + worker.stats.failed
-            if config.max_jobs and done >= config.max_jobs:
-                break
+        worker.run()
     except KeyboardInterrupt:
         pass
     print(f"worker stats: {json.dumps(worker.stats.to_dict())}", flush=True)

@@ -46,6 +46,9 @@ class LiveAnytime:
         overrides.setdefault("workers", 1)
         overrides.setdefault("checkpoint_every", EVERY)
         overrides.setdefault("heartbeat_s", 0.05)
+        # A test that leaves a fleet lease outstanding would otherwise
+        # spend the default 30 s drain window in shutdown.
+        overrides.setdefault("drain_timeout_s", 0.5)
         self.config = ServiceConfig(**overrides)
         self.service = CampaignService(self.config)
         self.loop = asyncio.new_event_loop()
@@ -282,7 +285,7 @@ class TestFleetLeaseRevocation:
             requeued = live.client.job(sibling["id"])
             assert requeued["state"] == "queued"
             released = live.client.lease(worker_id)
-            assert released["job"]["id"] == sibling["id"]
+            assert released["jobs"][0]["id"] == sibling["id"]
             assert released["lease"]["attempt"] == 2
 
     def test_fleet_worker_preempted_mid_job_then_resumed_bitwise(self):

@@ -192,10 +192,10 @@ class TestSerialization:
         again = LatencyTable.from_json(clone.to_json())
         assert again.layer_depth == lut.layer_depth
 
-    def test_legacy_format1_payload_still_loads(self):
-        """Old caches hold format-1 payloads ('u->v' string edge keys,
-        no layer_depth); they must keep loading, with the positional
-        depth fallback."""
+    def test_format1_payload_refused(self):
+        """Format-1 payloads ('u->v' string edge keys, no "format"
+        field) are no longer read: loading one fails loudly and names
+        the format, as does any format but 2."""
         import json
 
         lut = synthetic_chain_lut(3, 2, seed=4)
@@ -209,20 +209,11 @@ class TestSerialization:
         payload["transfer_ms"] = {
             f"{u}->{v}": ms for (u, v), ms in payload["transfer_ms"]
         }
-        clone = LatencyTable.from_json(json.dumps(payload))
-        assert clone.conversion_ms.keys() == lut.conversion_ms.keys()
-        assert clone.transfer_ms == lut.transfer_ms
-        assert clone.layer_depth == {l: i for i, l in enumerate(lut.layers)}
-
-    def test_legacy_ambiguous_edge_key_rejected(self):
-        """A format-1 key that splits into more than two parts must fail
-        loudly instead of silently corrupting the penalty tables."""
-        import json
-
-        lut = synthetic_chain_lut(3, 2, seed=4)
+        with pytest.raises(ProfilingError, match="format 1"):
+            LatencyTable.from_json(json.dumps(payload))
         payload = json.loads(lut.to_json())
-        payload["transfer_ms"] = {"a->b->c": 1.0}
-        with pytest.raises(ProfilingError):
+        payload["format"] = 3
+        with pytest.raises(ProfilingError, match="format 3"):
             LatencyTable.from_json(json.dumps(payload))
 
     def test_arrow_layer_names_rejected_on_serialize(self):

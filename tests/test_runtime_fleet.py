@@ -17,6 +17,7 @@ import http.client
 import json
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.runtime.client import ServiceClient
 from repro.runtime.metrics import parse_samples
 from repro.runtime.service import (
     CampaignService,
+    JobRecord,
     TokenBucket,
     WorkerInfo,
 )
@@ -51,6 +53,7 @@ from repro.runtime.worker import (
     WorkerConfig,
     encode_outcome,
     idle_backoff,
+    run_worker,
 )
 
 EPISODES = 150
@@ -71,6 +74,15 @@ def _fleet_service(**overrides) -> CampaignService:
     overrides.setdefault("workers", 0)
     overrides.setdefault("port", 0)
     return CampaignService(ServiceConfig(**overrides))
+
+
+def _leased(**config):
+    """An unstarted service with one toy job leased to worker "host"."""
+    service = _fleet_service(**config)
+    info = service.register_worker("host")
+    record = service.submit(_toy_job())
+    service.lease_batch(info.id)
+    return service, info, record
 
 
 class TestTokenBucket:
@@ -128,7 +140,7 @@ class TestWorkerRegistration:
     def test_unknown_worker_cannot_lease(self):
         service = _fleet_service()
         with pytest.raises(LeaseError):
-            service.lease_next("w99-ghost")
+            service.lease_batch("w99-ghost")
 
 
 class TestLeaseLifecycle:
@@ -136,7 +148,7 @@ class TestLeaseLifecycle:
         service = _fleet_service()
         info = service.register_worker("host")
         record = service.submit(_toy_job())
-        granted = service.lease_next(info.id)
+        (granted,) = service.lease_batch(info.id)
         assert granted is record
         assert record.state == "running"
         assert record.attempts == 1
@@ -149,20 +161,20 @@ class TestLeaseLifecycle:
     def test_empty_queue_leases_none(self):
         service = _fleet_service()
         info = service.register_worker("host")
-        assert service.lease_next(info.id) is None
+        assert service.lease_batch(info.id) == []
 
     def test_cancelled_job_is_skipped(self):
         service = _fleet_service()
         info = service.register_worker("host")
         record = service.submit(_toy_job())
         assert service.cancel(record.id)
-        assert service.lease_next(info.id) is None
+        assert service.lease_batch(info.id) == []
 
     def test_heartbeat_extends_deadline(self):
         service = _fleet_service()
         info = service.register_worker("host")
         record = service.submit(_toy_job())
-        service.lease_next(info.id)
+        service.lease_batch(info.id)
         before = service.store.get_lease(record.lease_id).deadline_s
         time.sleep(0.01)
         after = service.heartbeat(record.lease_id)
@@ -174,7 +186,7 @@ class TestLeaseLifecycle:
         service = _fleet_service(lease_ttl_s=30.0)
         info = service.register_worker("host")
         record = service.submit(_toy_job())
-        service.lease_next(info.id)
+        service.lease_batch(info.id)
         # Flip the lease by beating *late* (explicit now), not by
         # sleeping: heartbeat_lease itself detects the missed deadline.
         late = service.store.heartbeat_lease(
@@ -193,75 +205,101 @@ class TestLeaseLifecycle:
 
 
 class TestResultSubmission:
-    def _leased(self, **config):
-        service = _fleet_service(**config)
-        info = service.register_worker("host")
-        record = service.submit(_toy_job())
-        service.lease_next(info.id)
-        return service, info, record
+    """One-job leases deliver through ``finish_remote_batch`` too: a
+    lease of one is a batch of one."""
+
+    @staticmethod
+    def _delivery(record, outcome):
+        return {"results": [dict(outcome, job_id=record.id)]}
 
     def test_result_lands_bitwise_equal_to_local(self):
-        service, _, record = self._leased()
+        service, _, record = _leased()
         local = execute_job(record.job)
         # The worker's wire body: encode, then the HTTP JSON hop.
-        body = json.loads(json.dumps(encode_outcome(local)))
-        status, payload = service.finish_remote(record.lease_id, body)
+        body = json.loads(json.dumps(self._delivery(record, encode_outcome(local))))
+        status, payload = service.finish_remote_batch(record.lease_id, body)
         assert status == 200 and payload["accepted"]
         assert record.state == "done"
         assert record.result.payload.best_ms == local.payload.best_ms
         stored = service.store.get(record.job)
         assert stored is not None
-        lease = service.store.get_lease(payload["job"]["lease_id"])
+        lease = service.store.get_lease(payload["lease"]["lease_id"])
         assert lease.state == LEASE_COMPLETED
 
     def test_duplicate_submission_is_idempotent(self):
         """Satellite case: a second POST of the same result answers
         200 with ``accepted: false`` instead of erroring."""
-        service, _, record = self._leased()
-        body = json.loads(json.dumps(encode_outcome(execute_job(record.job))))
+        service, _, record = _leased()
+        outcome = encode_outcome(execute_job(record.job))
+        body = json.loads(json.dumps(self._delivery(record, outcome)))
         lease_id = record.lease_id
-        first = service.finish_remote(lease_id, body)
-        second = service.finish_remote(lease_id, body)
+        first = service.finish_remote_batch(lease_id, body)
+        second = service.finish_remote_batch(lease_id, body)
         assert first[0] == second[0] == 200
         assert first[1]["accepted"] is True
         assert second[1]["accepted"] is False
         assert second[1]["duplicate"] is True
-        assert second[1]["job_state"] == "done"
+        assert record.state == "done"
 
     def test_result_on_expired_lease_conflicts(self):
-        service, _, record = self._leased()
+        service, _, record = _leased()
         lease_id = record.lease_id
         expired = service.store.expire_due_leases(now=FAR_FUTURE)
         assert [lease.lease_id for lease in expired] == [lease_id]
         for lease in expired:
             service._requeue_expired(lease)
         with pytest.raises(LeaseExpiredError):
-            service.finish_remote(lease_id, {"error": "too late"})
+            service.finish_remote_batch(
+                lease_id, self._delivery(record, {"error": "too late"})
+            )
 
     def test_result_on_unknown_lease_conflicts(self):
         with pytest.raises(LeaseError):
-            _fleet_service().finish_remote("lease-404", {"error": "x"})
+            _fleet_service().finish_remote_batch(
+                "lease-404", {"results": [{"job_id": "job-1", "error": "x"}]}
+            )
 
     def test_worker_reported_error_is_terminal(self):
         """A job that *raised* on the worker fails without retry —
         searches are deterministic, it would raise anywhere."""
-        service, info, record = self._leased()
-        status, payload = service.finish_remote(
-            record.lease_id, {"error": "ValueError: bad LUT"}
+        service, info, record = _leased()
+        status, payload = service.finish_remote_batch(
+            record.lease_id,
+            self._delivery(record, {"error": "ValueError: bad LUT"}),
         )
         assert status == 200 and payload["accepted"]
         assert record.state == "failed"
         assert "bad LUT" in record.error
         assert info.failed == 1
         # The queue stays empty: no requeue happened.
-        assert service.lease_next(info.id) is None
+        assert service.lease_batch(info.id) == []
 
     def test_malformed_submission_is_a_client_error(self):
-        service, _, record = self._leased()
+        """A body that is not an object is a client error; a malformed
+        entry is rejected and its job requeued as undelivered."""
+        service, _, record = _leased()
+        status, payload = service.finish_remote_batch(
+            record.lease_id, self._delivery(record, {"payload_kind": "nope"})
+        )
+        assert status == 200
+        assert payload["results"][0]["status"] == "rejected"
+        assert payload["requeued"] == [record.id]
+        assert record.state == "queued"
         with pytest.raises(ConfigError):
-            service.finish_remote(record.lease_id, {"payload_kind": "nope"})
-        with pytest.raises(ConfigError):
-            service.finish_remote(record.lease_id, "not an object")
+            service.finish_remote_batch(record.lease_id, "not an object")
+
+    def test_single_result_route_is_gone(self):
+        """``POST /leases/{id}/results`` is the only result route."""
+        with LiveFleet() as live:
+            grant = live.client.register_worker("host")
+            record = live.client.submit(_toy_body())[0]
+            lease_id = live.client.lease(grant["worker"]["id"])["lease"]["lease_id"]
+            status, _, body = live.raw(
+                "POST", f"/leases/{lease_id}/result", {"error": "x"}
+            )
+            assert status == 404
+            assert "no route" in body["error"]
+            assert live.client.job(record["id"])["state"] == "running"
 
 
 class TestExpiryAndRetryBudget:
@@ -275,12 +313,12 @@ class TestExpiryAndRetryBudget:
         service = _fleet_service()
         info = service.register_worker("host")
         record = service.submit(_toy_job(), priority=7)
-        service.lease_next(info.id)
+        service.lease_batch(info.id)
         self._expire_current_lease(service)
         assert record.state == "queued"
         assert record.worker is None and record.lease_id is None
         assert info.expired == 1
-        regrant = service.lease_next(info.id)
+        (regrant,) = service.lease_batch(info.id)
         assert regrant is record
         assert record.attempts == 2
         assert service.store.get_lease(record.lease_id).attempt == 2
@@ -293,14 +331,14 @@ class TestExpiryAndRetryBudget:
         info = service.register_worker("host")
         record = service.submit(_toy_job())
         for attempt in (1, 2):
-            assert service.lease_next(info.id) is record
+            assert service.lease_batch(info.id) == [record]
             assert record.attempts == attempt
             self._expire_current_lease(service)
         assert record.state == "failed"
         assert "retry budget exhausted" in record.error
         assert "2 attempt(s)" in record.error
         assert record.done_event.is_set()
-        assert service.lease_next(info.id) is None
+        assert service.lease_batch(info.id) == []
         metrics = parse_samples(service.metrics.render())
         assert sum(metrics["repro_jobs_requeued_total"].values()) == 1.0
         assert sum(metrics["repro_leases_expired_total"].values()) == 2.0
@@ -309,9 +347,11 @@ class TestExpiryAndRetryBudget:
         service = _fleet_service()
         info = service.register_worker("host")
         record = service.submit(_toy_job())
-        service.lease_next(info.id)
-        body = json.loads(json.dumps(encode_outcome(execute_job(record.job))))
-        service.finish_remote(record.lease_id, body)
+        service.lease_batch(info.id)
+        outcome = encode_outcome(execute_job(record.job))
+        outcome["job_id"] = record.id
+        body = json.loads(json.dumps({"results": [outcome]}))
+        service.finish_remote_batch(record.lease_id, body)
         # A stale reaper pass over the (already completed) lease must
         # not touch the done record.
         stale = service.store.get_lease(record.lease_id)
@@ -322,7 +362,7 @@ class TestExpiryAndRetryBudget:
         service = _fleet_service()
         info = service.register_worker("host")
         record = service.submit(_toy_job())
-        service.lease_next(info.id)
+        service.lease_batch(info.id)
         service._closing = True
         self._expire_current_lease(service)
         assert record.state == "cancelled"
@@ -363,6 +403,10 @@ class LiveFleet:
     def __init__(self, **overrides):
         overrides.setdefault("port", 0)
         overrides.setdefault("workers", 0)
+        # A test that leaves a lease outstanding would otherwise spend
+        # the default 30 s drain window in shutdown; drain tests set
+        # their own.
+        overrides.setdefault("drain_timeout_s", 0.5)
         self.config = ServiceConfig(**overrides)
         self.service = CampaignService(self.config)
         self.loop = asyncio.new_event_loop()
@@ -577,7 +621,8 @@ class TestShutdownDrain:
             live.client.shutdown()
             # The server is draining but still answers the result POST
             # on a brand-new connection.
-            accepted = live.client.submit_result(lease_id, outcome)
+            outcome["job_id"] = record["id"]
+            accepted = live.client.submit_results(lease_id, [outcome])
             assert accepted["accepted"] is True
             live.wait_closed()
             # The store is closed with the service; the in-memory
@@ -603,7 +648,7 @@ class TestShutdownDrain:
         info = service.register_worker("latecomer")
         service.submit(_toy_job())
         service._closing = True
-        assert service.lease_next(info.id) is None
+        assert service.lease_batch(info.id) == []
         with pytest.raises(ServiceError):
             service.submit(_toy_job(episodes=EPISODES + 1))
 
@@ -822,11 +867,6 @@ class TestBatchLease:
         with pytest.raises(ConfigError):
             service.finish_remote_batch(records[0].lease_id, {"results": "no"})
 
-    def test_single_result_endpoint_refuses_multi_job_lease(self):
-        service, _, records, _ = self._batched()
-        with pytest.raises(ConfigError, match="covers 3 jobs"):
-            service.finish_remote(records[0].lease_id, {"error": "x"})
-
     def test_duplicate_batch_delivery_is_idempotent(self):
         service, _, records, _ = self._batched(n=2)
         body = {"results": [self._outcome(r) for r in records]}
@@ -954,7 +994,7 @@ class TestBatchOverHttp:
             )
             assert status == 200
             assert len(body["jobs"]) == 2
-            assert body["job"] == body["jobs"][0]
+            assert "job" not in body  # the jobs array is the only job list
             assert body["lease"]["job_ids"] == [
                 job["id"] for job in body["jobs"]
             ]
@@ -1028,5 +1068,159 @@ class TestBatchOverHttp:
             service._body_limit("POST", "/leases/abc/results")
             == 16 * (1 << 20)
         )
-        assert service._body_limit("POST", "/leases/abc/result") == 1 << 20
         assert service._body_limit("POST", "/jobs") == 1 << 20
+
+
+class _DeliveryFailsClient:
+    """A ``ServiceClient`` stand-in for a service that grants one lease
+    and is gone before its results land (a restart, or a graceful
+    shutdown that outlasts ``drain_timeout_s``)."""
+
+    def __init__(self, url, *args, **kwargs):
+        self.leases = 0
+
+    def register_worker(self, name=None):
+        return {"worker": {"id": "w1"}, "lease_ttl_s": 30.0, "heartbeat_s": 10.0}
+
+    def lease(self, worker_id, max_jobs=1):
+        self.leases += 1
+        if self.leases > 1:
+            raise ConnectionRefusedError("service gone")
+        job = _toy_job(episodes=20)
+        entry = {"id": "job-1", "job": asdict(job), "key": job_key(job)}
+        return {"lease": {"lease_id": "lease-1", "attempt": 1}, "jobs": [entry]}
+
+    def heartbeat(self, lease_id, checkpoints=None):
+        return {}
+
+    def submit_results(self, lease_id, outcomes):
+        raise ConnectionRefusedError("service gone")
+
+
+class TestWorkerLoop:
+    def test_failed_delivery_ends_repro_work_with_stats(self, monkeypatch, capsys):
+        """Regression: a delivery that hit a vanished service escaped
+        ``repro work``'s error handling as an uncaught
+        ``ConnectionRefusedError`` and no stats line was printed."""
+        monkeypatch.setattr("repro.runtime.worker.ServiceClient", _DeliveryFailsClient)
+        code = run_worker(WorkerConfig(server="http://127.0.0.1:9", poll_s=0.01))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "worker w1 leased lease-1" in out
+        assert "worker w1 finished" not in out
+        assert "service unreachable; exiting" in out
+        stats_line = out.splitlines()[-1]
+        assert stats_line.startswith("worker stats: ")
+        stats = json.loads(stats_line[len("worker stats: ") :])
+        assert stats["completed"] == stats["failed"] == 0
+        assert stats["polls"] == 1
+
+
+#: Terminal job states.
+TERMINAL = ("done", "failed", "cancelled")
+
+
+def _expire_all(service):
+    for lease in service.store.expire_due_leases(now=FAR_FUTURE):
+        service._requeue_expired(lease)
+
+
+def _queued_cancel():
+    service = _fleet_service()
+    record = service.submit(_toy_job())
+    assert service.cancel(record.id)
+    return service, record
+
+
+def _fleet_preempt():
+    service, _, record = _leased()
+    assert service.preempt(record)
+    return service, record
+
+
+def _delivered(entry):
+    service, _, record = _leased()
+    body = {"results": [dict(entry, job_id=record.id)]}
+    service.finish_remote_batch(record.lease_id, json.loads(json.dumps(body)))
+    return service, record
+
+
+def _done():
+    return _delivered(encode_outcome(execute_job(_toy_job())))
+
+
+def _worker_failure():
+    return _delivered({"error": "ValueError: bad LUT"})
+
+
+def _local_preempt():
+    service = _fleet_service()
+    local = service.register_worker("local-0", local=True)
+    record = service.submit(_toy_job())
+    service.lease_batch(local.id)
+    service._finish_preempted(record, local, None)
+    return service, record
+
+
+def _retry_budget_exhausted():
+    service, _, record = _leased(max_lease_retries=1)
+    _expire_all(service)
+    return service, record
+
+
+def _expiry_during_shutdown():
+    service, _, record = _leased()
+    service._closing = True
+    _expire_all(service)
+    return service, record
+
+
+def _drain_timeout_release():
+    service, _, record = _leased(drain_timeout_s=0.05)
+    asyncio.run(service.shutdown())
+    return service, record
+
+
+class TestTerminalTransitions:
+    """Every path that ends a job stamps ``finished_s`` and the outcome
+    before the state turns terminal (the live-service fixtures read
+    records from another thread), and leaves nothing behind."""
+
+    @pytest.mark.parametrize(
+        "path, state",
+        [
+            (_queued_cancel, "cancelled"),
+            (_fleet_preempt, "cancelled"),
+            (_done, "done"),
+            (_worker_failure, "failed"),
+            (_local_preempt, "cancelled"),
+            (_retry_budget_exhausted, "failed"),
+            (_expiry_during_shutdown, "cancelled"),
+            (_drain_timeout_release, "cancelled"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value).strip("_"),
+    )
+    def test_record_is_finished_before_it_is_terminal(self, monkeypatch, path, state):
+        seen = []
+        setattr_ = JobRecord.__setattr__
+
+        def watched(record, name, value):
+            if name == "state" and value in TERMINAL:
+                seen.append(
+                    (record.id, value, record.finished_s, record.error, record.result)
+                )
+            setattr_(record, name, value)
+
+        monkeypatch.setattr(JobRecord, "__setattr__", watched)
+        service, record = path()
+        (transition,) = [row for row in seen if row[0] == record.id]
+        _, terminal, finished_s, error, result = transition
+        assert terminal == state
+        assert finished_s is not None, "terminal before finished_s was stamped"
+        if state == "done":
+            assert result is not None
+        elif path is not _queued_cancel:
+            assert error is not None, "terminal before its error was set"
+        assert record.state == state
+        assert job_key(record.job) not in service._active
+        assert record.done_event.is_set()

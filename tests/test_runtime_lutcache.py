@@ -9,6 +9,8 @@ a whole campaign with **zero profiling passes**.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,6 @@ class TestLutKey:
         key = LutKey.from_job(JOB, version="9.9")
         assert key.shard == "jetson_tx2/fig1_toy"
         assert key.filename == "gpgpu__seed0__r50__v9.9.json"
-        assert key.legacy_filename == (
-            "jetson_tx2__fig1_toy__gpgpu__seed0__r50__v9.9.json"
-        )
 
     def test_entry_name_round_trip(self):
         key = LutKey.from_job(JOB)
@@ -128,16 +127,21 @@ class TestLocalTier:
         assert key.filename in index["entries"]
         assert index["entries"][key.filename]["mode"] == "gpgpu"
 
-    def test_legacy_flat_entry_read_and_migrated(self, tmp_path):
-        """A pre-sharding cache directory keeps its hits: the flat file
-        is read, then republished into the shard tree."""
+    def test_stale_format_entry_fails_naming_its_path(self, tmp_path):
+        """A cache entry in a format this release does not read is an
+        error naming the file — never a silent re-profile."""
         key = LutKey.from_job(JOB)
-        text = profile_lut(JOB).to_json()
-        (tmp_path / key.legacy_filename).write_text(text)
+        payload = json.loads(profile_lut(JOB).to_json())
+        del payload["format"]  # what a format-1 writer produced
         tier = LocalTier(tmp_path)
-        assert tier.get(key) == text
-        assert tier.path_for(key).exists()  # migrated
-        assert key in tier.keys()
+        tier.put(key, json.dumps(payload))
+
+        def profile():
+            raise AssertionError("a stale entry must not be re-profiled")
+
+        with pytest.raises(LutCacheError, match="format 1") as caught:
+            open_cache(tmp_path).resolve(JOB, profile)
+        assert str(tier.path_for(key)) in str(caught.value)
 
     def test_stats_and_gc(self, tmp_path):
         tier = LocalTier(tmp_path)

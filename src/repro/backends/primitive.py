@@ -10,6 +10,7 @@ interface.
 from __future__ import annotations
 
 import abc
+import functools
 
 from repro.backends.layout import Layout
 from repro.errors import UnsupportedLayerError
@@ -40,9 +41,10 @@ class Primitive(abc.ABC):
     #: Layout consumed and produced.
     layout: Layout = Layout.NCHW
 
-    @property
+    @functools.cached_property
     def uid(self) -> str:
-        """Stable unique identifier, e.g. ``"blas.gemm.im2col@openblas"``."""
+        """Stable unique identifier, e.g. ``"blas.gemm.im2col@openblas"``
+        (computed once per instance)."""
         parts = [self.library, self.algorithm]
         if self.impl:
             parts.append(self.impl)

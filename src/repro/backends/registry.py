@@ -81,6 +81,7 @@ class DesignSpace:
             dupes = sorted({u for u in uids if uids.count(u) > 1})
             raise ConfigError(f"duplicate primitive uids: {dupes}")
         self._by_uid = {p.uid: p for p in self._primitives}
+        self._by_uid_order = tuple(sorted(self._primitives, key=lambda p: p.uid))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -118,10 +119,7 @@ class DesignSpace:
         Raises :class:`~repro.errors.NoPrimitiveError` if empty — which
         cannot happen while Vanilla is part of the space.
         """
-        out = sorted(
-            (p for p in self._primitives if p.supports(layer, graph)),
-            key=lambda p: p.uid,
-        )
+        out = [p for p in self._by_uid_order if p.supports(layer, graph)]
         if not out:
             raise NoPrimitiveError(
                 f"no primitive supports layer {layer.name!r} ({layer.kind}) "

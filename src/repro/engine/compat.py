@@ -39,24 +39,25 @@ def profile_compatibility(
     only when the platform has a GPU.  With ``rng`` set, measurements are
     noisy means of ``repeats`` samples, like any other profiled quantity.
     """
-    noise = platform.noise
+    has_gpu = platform.has(ProcessorKind.GPU)
+    edges = graph.edges()
+    # Per edge: one conversion per processor, then the transfer.
+    true_ms: list[float] = []
+    for producer, _consumer in edges:
+        tensor = graph.output_shape(producer)
+        true_ms += [conversion_ms(tensor, proc) for proc in platform.processors]
+        if has_gpu:
+            true_ms.append(platform.transfer_ms(tensor.nbytes))
+    measured = np.asarray(true_ms, dtype=np.float64)
+    if rng is not None:
+        # Free conversions are exact; the rest share one block of draws.
+        paid = measured != 0.0
+        measured[paid] = platform.noise.sample_means(measured[paid], rng, repeats)
+    values = iter(measured.tolist())
     conversions: dict[tuple[str, str], dict[ProcessorKind, float]] = {}
     transfers: dict[tuple[str, str], float] = {}
-
-    def measure(true_ms: float) -> float:
-        """One noisy mean-of-repeats measurement of a true latency."""
-        if rng is None or true_ms == 0.0:
-            return true_ms
-        return noise.sample_mean(true_ms, rng, repeats)
-
-    has_gpu = platform.has(ProcessorKind.GPU)
-    for edge in graph.edges():
-        producer, _consumer = edge
-        tensor = graph.output_shape(producer)
-        conversions[edge] = {
-            proc.kind: measure(conversion_ms(tensor, proc))
-            for proc in platform.processors
-        }
+    for edge in edges:
+        conversions[edge] = {proc.kind: next(values) for proc in platform.processors}
         if has_gpu:
-            transfers[edge] = measure(platform.transfer_ms(tensor.nbytes))
+            transfers[edge] = next(values)
     return conversions, transfers

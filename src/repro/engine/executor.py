@@ -18,6 +18,7 @@ Penalty conventions (paper §IV-A, §V-B):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -119,27 +120,21 @@ class Executor:
 
         True (model) times come from the compiled :meth:`engine` — two
         array gathers per run instead of one model evaluation per layer
-        and edge.
+        and edge.  Every layer is measured, then every edge with a
+        non-zero penalty, in one block of noise draws.
         """
         schedule.validate(self.graph, self.space)
         engine = self.engine()
         choices = engine.choices_of(schedule.assignments)
-        layer_true = engine.gather_layer_times(choices).tolist()
-        edge_true = engine.gather_edge_penalties(choices).tolist()
-        noise = self.platform.noise
-        result = ExecutionResult(schedule=schedule)
-        for name, true_ms in zip(engine.layer_names, layer_true):
-            if rng is None:
-                measured = true_ms
-            else:
-                measured = noise.sample_mean(true_ms, rng, repeats)
-            result.layer_ms[name] = measured
-        for edge, true_ms in zip(engine.edges, edge_true):
-            if true_ms == 0.0:
-                continue
-            if rng is None:
-                measured = true_ms
-            else:
-                measured = noise.sample_mean(true_ms, rng, repeats)
-            result.penalty_ms[edge] = measured
-        return result
+        edge_true = engine.gather_edge_penalties(choices)
+        paid = edge_true != 0.0
+        measured = np.concatenate([engine.gather_layer_times(choices), edge_true[paid]])
+        if rng is not None:
+            measured = self.platform.noise.sample_means(measured, rng, repeats)
+        values = measured.tolist()
+        split = engine.num_layers
+        return ExecutionResult(
+            schedule,
+            layer_ms=dict(zip(engine.layer_names, values[:split])),
+            penalty_ms=dict(zip(compress(engine.edges, paid.tolist()), values[split:])),
+        )

@@ -79,7 +79,7 @@ class InferenceEngineOptimizer:
         if self._lut is None:
             profiler = Profiler(
                 self.graph, self.space, self.platform,
-                seed=self.seed, repeats=self.repeats,
+                seed=self.seed, repeats=self.repeats, executor=self._executor,
             )
             self._lut, self._report = profiler.profile()
         return self._lut

@@ -230,8 +230,8 @@ class CostEngine:
     @classmethod
     def from_model(cls, executor) -> "CostEngine":
         """Compile an executor's analytic cost model (the board-side
-        engine): every (layer, candidate) time and every per-edge
-        candidate-pair penalty, evaluated once.
+        engine): every (layer, candidate) time, and every per-edge
+        penalty once per pair of (processor, layout) classes.
 
         ``executor`` is any object with the :class:`Executor` pricing
         surface (``graph``, ``space``, ``true_layer_ms``,
@@ -249,19 +249,34 @@ class CostEngine:
             )
             for name, cands in zip(layer_names, candidates)
         ]
+        # A penalty depends only on the (processor, layout) classes of
+        # the two primitives: each edge prices every class pair once and
+        # the candidate-pair matrix gathers from that small table.
+        classes = []  # per layer: (class of each candidate, one uid per class)
+        for cands in candidates:
+            first: dict = {}  # class -> (its index, its first candidate)
+            members = [
+                first.setdefault((p.processor, p.layout), (len(first), p.uid))[0]
+                for p in cands
+            ]
+            classes.append((members, [uid for _, uid in first.values()]))
         index = {n: i for i, n in enumerate(layer_names)}
         edges = [tuple(e) for e in graph.edges()]
         edge_matrices = []
         for producer, consumer in edges:
-            prod_uids = candidate_uids[index[producer]]
-            cons_uids = candidate_uids[index[consumer]]
-            matrix = np.empty((len(prod_uids), len(cons_uids)), dtype=np.float64)
-            for a, pu in enumerate(prod_uids):
-                for b, cu in enumerate(cons_uids):
-                    matrix[a, b] = executor.true_penalty_ms(
-                        producer, consumer, pu, cu
-                    )
-            edge_matrices.append(matrix)
+            prod_class, prod_uids = classes[index[producer]]
+            cons_class, cons_uids = classes[index[consumer]]
+            table = np.array(
+                [
+                    [
+                        executor.true_penalty_ms(producer, consumer, pu, cu)
+                        for cu in cons_uids
+                    ]
+                    for pu in prod_uids
+                ],
+                dtype=np.float64,
+            )
+            edge_matrices.append(table[np.ix_(prod_class, cons_class)])
         return cls(layer_names, candidate_uids, times, edges, edge_matrices)
 
     # -- basics -------------------------------------------------------------

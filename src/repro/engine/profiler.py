@@ -57,6 +57,7 @@ class Profiler:
         platform: Platform,
         seed: int = 0,
         repeats: int = 50,
+        executor: Executor | None = None,
     ) -> None:
         if repeats < 1:
             raise ProfilingError("repeats must be >= 1")
@@ -65,15 +66,22 @@ class Profiler:
         self.platform = platform
         self.repeats = repeats
         self._rng_stream = RngStream(seed, "profiler", graph.name, str(space.mode))
-        self._executor = Executor(graph, space, platform)
+        # An optimizer passes its own board, so deploy reuses its engine.
+        self._executor = executor or Executor(graph, space, platform)
 
     def profile(self) -> tuple[LatencyTable, ProfilingReport]:
-        """Run the full inference phase; returns the LUT and its cost."""
+        """Run the full inference phase; returns the LUT and its cost.
+
+        The candidate lists and the all-Vanilla schedule are built once;
+        every primitive-type schedule substitutes into that schedule.
+        """
         graph, space = self.graph, self.space
-        times: dict[str, dict[str, float]] = {l.name: {} for l in graph.layers()}
+        layers = graph.layers()
+        times: dict[str, dict[str, float]] = {l.name: {} for l in layers}
         candidates = {
-            l.name: [p.uid for p in space.candidates(l, graph)] for l in graph.layers()
+            l.name: [p.uid for p in space.candidates(l, graph)] for l in layers
         }
+        present = {uid for uids in candidates.values() for uid in uids}
 
         board_ms = 0.0
         inferences = 0
@@ -84,7 +92,7 @@ class Profiler:
         result = self._executor.run(base, rng=rng, repeats=self.repeats)
         board_ms += result.total_ms * self.repeats
         inferences += 1
-        for layer in graph.layers():
+        for layer in layers:
             times[layer.name][base.primitive_uid(layer.name)] = result.layer_ms[
                 layer.name
             ]
@@ -93,14 +101,14 @@ class Profiler:
         for prim in space.primitives:
             if prim.library == "vanilla":
                 continue
-            if not any(prim.supports(l, graph) for l in graph.layers()):
+            if prim.uid not in present:
                 continue  # primitive type absent from this network
-            schedule = primitive_type_schedule(graph, space, prim)
+            schedule = primitive_type_schedule(graph, space, prim, base)
             rng = self._rng_stream.child("primitive", prim.uid)
             result = self._executor.run(schedule, rng=rng, repeats=self.repeats)
             board_ms += result.total_ms * self.repeats
             inferences += 1
-            for layer in graph.layers():
+            for layer in layers:
                 if schedule.primitive_uid(layer.name) == prim.uid:
                     times[layer.name][prim.uid] = result.layer_ms[layer.name]
 
@@ -119,7 +127,7 @@ class Profiler:
             graph_name=graph.name,
             mode=str(space.mode),
             platform_name=self.platform.name,
-            layers=[l.name for l in graph.layers()],
+            layers=[l.name for l in layers],
             candidates=candidates,
             times_ms=times,
             edges=graph.edges(),

@@ -103,7 +103,10 @@ def vanilla_schedule(graph: NetworkGraph, space: DesignSpace) -> NetworkSchedule
 
 
 def primitive_type_schedule(
-    graph: NetworkGraph, space: DesignSpace, primitive: Primitive
+    graph: NetworkGraph,
+    space: DesignSpace,
+    primitive: Primitive,
+    base: NetworkSchedule | None = None,
 ) -> NetworkSchedule:
     """The profiling substitution of §V-A.
 
@@ -111,8 +114,14 @@ def primitive_type_schedule(
     time, by substituting Vanilla for the chosen primitive type in all
     those layers where the acceleration library is able to implement such
     primitive."
+
+    ``base`` is the all-Vanilla schedule to substitute into; a profiler
+    builds it once and passes it for every type.  It is left unchanged,
+    and built here when omitted.
     """
-    schedule = vanilla_schedule(graph, space)
+    if base is None:
+        base = vanilla_schedule(graph, space)
+    schedule = NetworkSchedule(graph.name, dict(base.assignments))
     for layer in graph.layers():
         if primitive.supports(layer, graph):
             schedule.assign(layer.name, primitive.uid)

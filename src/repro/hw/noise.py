@@ -9,6 +9,7 @@ The profiler averages 50 samples per layer, exactly as the paper does
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,32 @@ class NoiseModel:
         factor = float(np.exp(rng.normal(-0.5 * self.sigma**2, self.sigma)))
         return true_ms * factor
 
+    def sample_means(
+        self,
+        true_ms: Sequence[float] | np.ndarray,
+        rng: np.random.Generator,
+        repeats: int,
+    ) -> np.ndarray:
+        """Mean of ``repeats`` noisy measurements of each true latency.
+
+        The noise is drawn as one ``(n, repeats)`` block: measurement
+        ``i`` consumes the next ``repeats`` normals in order, so the
+        means and the generator's final state are the same bits however
+        the measurements are grouped into blocks.
+        """
+        if repeats < 1:
+            raise PlatformError("repeats must be >= 1")
+        true = np.asarray(true_ms, dtype=np.float64)
+        if self.sigma == 0.0 or not true.size:
+            return true
+        normals = rng.normal(
+            -0.5 * self.sigma**2, self.sigma, size=(true.size, repeats)
+        )
+        return true * np.exp(normals).mean(axis=1)
+
     def sample_mean(
         self, true_ms: float, rng: np.random.Generator, repeats: int
     ) -> float:
-        """Mean of ``repeats`` noisy measurements (the paper uses 50)."""
-        if repeats < 1:
-            raise PlatformError("repeats must be >= 1")
-        if self.sigma == 0.0:
-            return true_ms
-        factors = np.exp(rng.normal(-0.5 * self.sigma**2, self.sigma, size=repeats))
-        return true_ms * float(factors.mean())
+        """Mean of ``repeats`` noisy measurements (the paper uses 50):
+        the one-measurement case of :meth:`sample_means`."""
+        return float(self.sample_means([true_ms], rng, repeats)[0])

@@ -24,7 +24,8 @@ service never dials out, so workers behind NAT just work):
    Encoding goes through :func:`~repro.runtime.store.encode_payload` —
    the same JSON the result store writes — so a remotely computed
    result lands in the store bitwise-identical to local execution
-   (shortest-repr floats round-trip exactly).
+   (shortest-repr floats round-trip exactly).  A delivery that fails
+   in transit is kept and re-sent before the next lease.
 
 Worker-side job failures are *reported*, not retried: the job raised,
 so it would raise anywhere (searches are deterministic).  Crashes and
@@ -48,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core import checkpoint
 from repro.errors import (
     ConfigError,
     LeaseExpiredError,
@@ -104,6 +106,8 @@ class WorkerStats:
     completed: int = 0
     failed: int = 0
     lost_leases: int = 0
+    #: Executed outcomes still undelivered when the loop gave up.
+    undelivered: int = 0
     polls: int = 0
     started_s: float = field(default_factory=time.time)
 
@@ -112,6 +116,7 @@ class WorkerStats:
             "completed": self.completed,
             "failed": self.failed,
             "lost_leases": self.lost_leases,
+            "undelivered": self.undelivered,
             "polls": self.polls,
             "uptime_s": time.time() - self.started_s,
         }
@@ -126,12 +131,12 @@ class _Heartbeat(threading.Thread):
     preempt it).
 
     Beats double as the fleet's checkpoint carrier: the executing
-    thread :meth:`offer`\\ s each job's latest encoded checkpoint and
-    the next beat ships every fresh one in the heartbeat body, where
+    thread :meth:`offer`\\ s each job's latest checkpoint and the next
+    beat encodes and ships every fresh one in the heartbeat body, where
     the service persists them.  Only the newest snapshot per job is
-    kept (an older one is strictly worse), and snapshots that miss a
-    beat to a transport error are re-queued for the next one unless a
-    newer offer superseded them.
+    kept (an older one is strictly worse, and is never encoded), and
+    snapshots that miss a beat to a transport error are re-queued for
+    the next one unless a newer offer superseded them.
     """
 
     def __init__(self, client: ServiceClient, lease_id: str, interval_s: float) -> None:
@@ -143,27 +148,35 @@ class _Heartbeat(threading.Thread):
         # Not `_stop`: threading.Thread claims that name internally.
         self._halt = threading.Event()
         self._lock = threading.Lock()
-        self._checkpoints: dict[str, str] = {}
+        self._checkpoints: dict[str, dict] = {}
 
-    def offer(self, job_id: str, text: str) -> None:
-        """Stage a job's latest encoded checkpoint for the next beat."""
+    def offer(self, job_id: str, ckpt: dict) -> None:
+        """Stage a job's latest checkpoint for the next beat.  Each
+        capture is a fresh dict the search never mutates, so the beat
+        may encode it while the search runs on."""
         with self._lock:
-            self._checkpoints[job_id] = text
+            self._checkpoints[job_id] = ckpt
 
     def run(self) -> None:
-        while not self._halt.wait(self.interval_s):
+        while not self._halt.wait(self.interval_s) and self.beat():
+            pass
+
+    def beat(self) -> bool:
+        """Send one heartbeat carrying every fresh checkpoint, encoded
+        now; False once the lease is lost."""
+        with self._lock:
+            fresh, self._checkpoints = self._checkpoints, {}
+        texts = {job: checkpoint.encode_checkpoint(c) for job, c in fresh.items()}
+        try:
+            self.client.heartbeat(self.lease_id, checkpoints=texts or None)
+        except LeaseExpiredError:
+            self.lost.set()
+            return False
+        except (ServiceError, OSError):
             with self._lock:
-                fresh, self._checkpoints = self._checkpoints, {}
-            try:
-                self.client.heartbeat(self.lease_id, checkpoints=fresh or None)
-            except LeaseExpiredError:
-                self.lost.set()
-                return
-            except (ServiceError, OSError):
-                with self._lock:
-                    for job_id, text in fresh.items():
-                        self._checkpoints.setdefault(job_id, text)
-                continue
+                for job_id, ckpt in fresh.items():
+                    self._checkpoints.setdefault(job_id, ckpt)
+        return True
 
     def stop(self) -> None:
         self._halt.set()
@@ -231,6 +244,8 @@ class FleetWorker:
         self.stats = WorkerStats()
         self.worker_id: str | None = None
         self.heartbeat_s: float = 10.0
+        #: ``(lease_id, outcomes)`` executed but not yet delivered.
+        self._pending: tuple[str, list[dict]] | None = None
 
     def register(self) -> dict:
         """Announce this worker; remembers the id and heartbeat hint."""
@@ -256,9 +271,14 @@ class FleetWorker:
         return size
 
     def run_one(self) -> bool:
-        """Lease, execute and deliver one batch; False when the queue
-        was empty."""
+        """Re-send an undelivered batch, or else lease, execute and
+        deliver one batch; False when the queue was empty."""
         assert self.worker_id is not None, "register() first"
+        if self._pending is not None:
+            lease_id = self._pending[0]
+            outcome = "re-delivered" if self._deliver() else "lost"
+            self.log(f"worker {self.worker_id} {outcome} {lease_id}")
+            return True
         grant = self.client.lease(self.worker_id, max_jobs=self._batch_size())
         self.stats.polls += 1
         if grant is None:
@@ -282,10 +302,9 @@ class FleetWorker:
         heartbeat, and stop the search the moment the lease is lost —
         the service revoked it (preemption) or expired it, so further
         episodes are wasted work."""
-        from repro.core.checkpoint import encode_checkpoint
 
         def on_checkpoint(ckpt: dict):
-            beat.offer(job_id, encode_checkpoint(ckpt))
+            beat.offer(job_id, ckpt)
             return not beat.lost.is_set()
 
         return on_checkpoint
@@ -341,11 +360,22 @@ class FleetWorker:
             # must not race the retries.
             self.stats.lost_leases += 1
             return False
+        self._pending = (lease_id, outcomes)
+        return self._deliver()
+
+    def _deliver(self) -> bool:
+        """Deliver the pending batch; False when the lease was lost (a
+        409: its jobs were requeued).  A service or transport error
+        propagates and keeps the batch pending for the next step to
+        re-send; the service answers a repeat delivery idempotently."""
+        lease_id, outcomes = self._pending
         try:
             self.client.submit_results(lease_id, outcomes)
         except LeaseExpiredError:
+            self._pending = None
             self.stats.lost_leases += 1
             return False
+        self._pending = None
         for outcome in outcomes:
             if "error" in outcome:
                 self.stats.failed += 1
@@ -361,7 +391,8 @@ class FleetWorker:
         A service error or transport failure anywhere in one lease →
         execute → deliver step (a restart, or a shutdown that outlasts
         its drain window) is retried after ``poll_s``; the fifth in a
-        row ends the loop.
+        row ends the loop, counting a still-pending batch in
+        ``undelivered``.
         """
         errors = 0
         idle = 0
@@ -371,6 +402,9 @@ class FleetWorker:
             except (ServiceError, OSError):
                 errors += 1
                 if errors >= MAX_CONSECUTIVE_ERRORS:
+                    if self._pending is not None:
+                        self.stats.undelivered += len(self._pending[1])
+                        self._pending = None
                     self.log("service unreachable; exiting")
                     return self.stats
                 time.sleep(self.config.poll_s)

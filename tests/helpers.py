@@ -179,3 +179,131 @@ def scalar_final_qtable(lut: LatencyTable, config, seed: int):
             runner.learn(rewards, perm)
     runner.finalize()
     return qtable
+
+
+def _oracle_noisy(true_ms: float, noise, rng, repeats: int) -> float:
+    """One mean-of-``repeats`` measurement, drawn on its own."""
+    if noise.sigma == 0.0:
+        return true_ms
+    factors = np.exp(rng.normal(-0.5 * noise.sigma**2, noise.sigma, size=repeats))
+    return true_ms * float(factors.mean())
+
+
+def oracle_measure(graph, space, platform, schedule, rng, repeats: int):
+    """``(layer_ms, penalty_ms)`` of one noisy run of ``schedule``.
+
+    Prices each layer and edge with the analytic model on the spot and
+    draws each measurement separately: every layer in graph order, then
+    every edge with a non-zero penalty.  The reference for the
+    executor's block-drawn measurements.
+    """
+    from repro.engine.executor import Executor
+
+    board = Executor(graph, space, platform)
+    uid = schedule.primitive_uid
+
+    def noisy(true_ms: float) -> float:
+        return _oracle_noisy(true_ms, platform.noise, rng, repeats)
+
+    layer_ms = {
+        l.name: noisy(board.true_layer_ms(l.name, uid(l.name))) for l in graph.layers()
+    }
+    penalty_ms = {}
+    for producer, consumer in graph.edges():
+        true_ms = board.true_penalty_ms(
+            producer, consumer, uid(producer), uid(consumer)
+        )
+        if true_ms != 0.0:
+            penalty_ms[(producer, consumer)] = noisy(true_ms)
+    return layer_ms, penalty_ms
+
+
+def oracle_profile(graph, space, platform, seed: int = 0, repeats: int = 50):
+    """The §V-A inference phase done the naive way: ``(lut, report)``.
+
+    Sorts each layer's candidates on the spot, builds every
+    primitive-type schedule from a fresh ``vanilla_schedule``, measures
+    with :func:`oracle_measure` and draws the compatibility pass one
+    measurement at a time.  It shares nothing with the profiler's
+    shared schedules, candidate lists or block draws, so tests compare
+    the two bitwise.
+    """
+    from repro.backends.layout import conversion_ms
+    from repro.engine.profiler import ProfilingReport
+    from repro.engine.schedule import vanilla_schedule
+    from repro.utils.rng import RngStream
+
+    stream = RngStream(seed, "profiler", graph.name, str(space.mode))
+    layers = graph.layers()
+    candidates = {
+        l.name: sorted(p.uid for p in space.primitives if p.supports(l, graph))
+        for l in layers
+    }
+    times: dict[str, dict[str, float]] = {l.name: {} for l in layers}
+    board_ms = 0.0
+    inferences = 0
+    # The all-Vanilla pass, then one pass per non-Vanilla type present.
+    passes = [(None, stream.child("vanilla"))] + [
+        (p, stream.child("primitive", p.uid))
+        for p in space.primitives
+        if p.library != "vanilla" and any(p.supports(l, graph) for l in layers)
+    ]
+    for prim, rng in passes:
+        schedule = vanilla_schedule(graph, space)
+        if prim is not None:
+            for l in layers:
+                if prim.supports(l, graph):
+                    schedule.assign(l.name, prim.uid)
+        layer_ms, penalty_ms = oracle_measure(
+            graph, space, platform, schedule, rng, repeats
+        )
+        board_ms += (sum(layer_ms.values()) + sum(penalty_ms.values())) * repeats
+        inferences += 1
+        for l in layers:
+            uid = schedule.primitive_uid(l.name)
+            if prim is None or uid == prim.uid:
+                times[l.name][uid] = layer_ms[l.name]
+
+    rng = stream.child("compat")
+
+    def measure(true_ms: float) -> float:
+        if true_ms == 0.0:
+            return true_ms
+        return _oracle_noisy(true_ms, platform.noise, rng, repeats)
+
+    conversions, transfers = {}, {}
+    for edge in graph.edges():
+        tensor = graph.output_shape(edge[0])
+        conversions[edge] = {
+            proc.kind: measure(conversion_ms(tensor, proc))
+            for proc in platform.processors
+        }
+        if platform.has(ProcessorKind.GPU):
+            transfers[edge] = measure(platform.transfer_ms(tensor.nbytes))
+    board_ms += (
+        sum(ms for per_proc in conversions.values() for ms in per_proc.values())
+        + sum(transfers.values())
+    ) * repeats
+
+    lut = LatencyTable(
+        graph_name=graph.name,
+        mode=str(space.mode),
+        platform_name=platform.name,
+        layers=[l.name for l in layers],
+        candidates=candidates,
+        times_ms=times,
+        edges=graph.edges(),
+        conversion_ms=conversions,
+        transfer_ms=transfers,
+        meta={p.uid: PrimitiveMeta.from_primitive(p) for p in space.primitives},
+        profiling_inferences=inferences,
+    )
+    report = ProfilingReport(
+        graph_name=graph.name,
+        mode=str(space.mode),
+        primitive_types=len(space.primitives),
+        network_inferences=inferences,
+        compatibility_passes=1,
+        simulated_board_ms=board_ms,
+    )
+    return lut, report

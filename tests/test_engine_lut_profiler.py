@@ -8,12 +8,15 @@ from repro.backends import Mode, gpgpu_space
 from repro.engine import InferenceEngineOptimizer, Profiler
 from repro.engine.compat import profile_compatibility
 from repro.engine.lut import LatencyTable
+from repro.engine.pricing import CostEngine
+from repro.engine.schedule import NetworkSchedule
 from repro.errors import LookupError_, ProfilingError, ScheduleError
 from repro.hw import jetson_tx2
 from repro.hw.processor import ProcessorKind
-from repro.zoo import build_network
+from repro.utils.rng import RngStream
+from repro.zoo import available_networks, build_network
 
-from tests.helpers import synthetic_chain_lut
+from tests.helpers import oracle_measure, oracle_profile, synthetic_chain_lut
 
 
 class TestLatencyTableLookups:
@@ -294,6 +297,80 @@ class TestProfiler:
         graph = build_network("lenet5")
         with pytest.raises(ProfilingError):
             Profiler(graph, gpgpu_space(platform), platform, repeats=0)
+
+
+class TestProfilerAgainstOracle:
+    """The profiler's shared schedules, candidate lists, class-priced
+    board engine and block-drawn noise reproduce the naive §V-A
+    profiler bit for bit, and so does deploy."""
+
+    @pytest.mark.parametrize("network", available_networks())
+    @pytest.mark.parametrize("mode", [Mode.CPU, Mode.GPGPU])
+    def test_lut_report_and_deploy_equal_the_oracle(self, network, mode):
+        platform = jetson_tx2()
+        graph = build_network(network)
+        for seed in (0, 1):
+            optimizer = InferenceEngineOptimizer(graph, platform, mode=mode, seed=seed)
+            lut = optimizer.profile()
+            want_lut, want_report = oracle_profile(
+                graph, optimizer.space, platform, seed=seed
+            )
+            assert lut.to_json() == want_lut.to_json()
+            assert optimizer.profiling_report == want_report
+
+            engine = lut.engine()
+            schedule = NetworkSchedule(
+                graph.name, engine.assignments(engine.greedy_choices())
+            )
+            deployed = optimizer.deploy(schedule).result
+            rng = RngStream(seed, "optimizer", graph.name, str(mode)).child(
+                "deploy", tuple(sorted(schedule.assignments.items()))
+            )
+            layer_ms, penalty_ms = oracle_measure(
+                graph, optimizer.space, platform, schedule, rng, optimizer.repeats
+            )
+            assert deployed.layer_ms == layer_ms
+            assert deployed.penalty_ms == penalty_ms
+
+
+class TestBuildCounts:
+    def test_profile_builds_the_vanilla_schedule_once(self, monkeypatch):
+        from repro.engine import profiler, schedule
+
+        built = []
+        original = schedule.vanilla_schedule
+
+        def counting(graph, space):
+            built.append(graph.name)
+            return original(graph, space)
+
+        monkeypatch.setattr(schedule, "vanilla_schedule", counting)
+        monkeypatch.setattr(profiler, "vanilla_schedule", counting)
+        platform = jetson_tx2()
+        graph = build_network("googlenet")
+        _, report = Profiler(graph, gpgpu_space(platform), platform).profile()
+        assert report.network_inferences > 10
+        assert built == ["googlenet"]
+
+    def test_profile_and_deploy_share_one_board_engine(self, monkeypatch):
+        built = []
+        original = CostEngine.__dict__["from_model"].__func__
+
+        def counting(cls, executor):
+            built.append(executor.graph.name)
+            return original(cls, executor)
+
+        monkeypatch.setattr(CostEngine, "from_model", classmethod(counting))
+        platform = jetson_tx2()
+        optimizer = InferenceEngineOptimizer(
+            build_network("lenet5"), platform, mode=Mode.GPGPU
+        )
+        lut = optimizer.profile()
+        engine = lut.engine()
+        optimizer.deploy(
+            NetworkSchedule(lut.graph_name, engine.assignments(engine.greedy_choices()))
+        )
+        assert built == ["lenet5"]
 
 
 class TestCompatProfiling:

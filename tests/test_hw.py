@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlatformError
 from repro.hw import (
@@ -127,6 +128,47 @@ class TestNoiseModel:
     def test_negative_true_ms_rejected(self):
         with pytest.raises(PlatformError):
             NoiseModel(0.1).sample(-1.0, derive_rng(0, "t"))
+
+
+class TestBlockDraw:
+    """``sample_means`` draws one ``(n, repeats)`` block; it must equal
+    ``n`` one-measurement draws in values and in the generator's final
+    state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        repeats=st.sampled_from([1, 7, 8, 9, 50, 128, 129]),
+        height=st.integers(1, 64),
+        sigma=st.sampled_from([0.03, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_a_loop_of_single_draws(self, repeats, height, sigma, seed):
+        noise = NoiseModel(sigma)
+        true_ms = np.random.default_rng(seed).uniform(0.0, 100.0, height).tolist()
+        block_rng, loop_rng, ref_rng = (derive_rng(seed, "noise") for _ in range(3))
+        block = noise.sample_means(true_ms, block_rng, repeats).tolist()
+        loop = [noise.sample_mean(ms, loop_rng, repeats) for ms in true_ms]
+        # The reference draw, written out: one mean of `repeats` factors.
+        reference = [
+            ms * float(np.exp(ref_rng.normal(-0.5 * sigma**2, sigma, repeats)).mean())
+            for ms in true_ms
+        ]
+        assert block == loop == reference
+        state = block_rng.bit_generator.state
+        assert state == loop_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_zero_sigma_consumes_no_entropy(self):
+        rng = derive_rng(0, "t")
+        before = rng.bit_generator.state
+        out = NoiseModel(0.0).sample_means([1.5, 0.0, 7.0], rng, 50)
+        assert out.tolist() == [1.5, 0.0, 7.0]
+        assert NoiseModel(0.0).sample_mean(2.5, rng, 50) == 2.5
+        assert rng.bit_generator.state == before
+
+    def test_bad_repeats_rejected(self):
+        for sigma in (0.0, 0.1):
+            with pytest.raises(PlatformError):
+                NoiseModel(sigma).sample_means([1.0, 2.0], derive_rng(0, "t"), 0)
 
 
 class TestPlatform:

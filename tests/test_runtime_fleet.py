@@ -26,6 +26,7 @@ from repro.errors import (
     ConfigError,
     LeaseError,
     LeaseExpiredError,
+    PreemptedError,
     QueueFullError,
     QuotaExceededError,
     ServiceError,
@@ -51,6 +52,7 @@ from repro.runtime.store import (
 from repro.runtime.worker import (
     FleetWorker,
     WorkerConfig,
+    _Heartbeat,
     encode_outcome,
     idle_backoff,
     run_worker,
@@ -1097,6 +1099,36 @@ class _DeliveryFailsClient:
         raise ConnectionRefusedError("service gone")
 
 
+class _FlakyDeliveryClient(_DeliveryFailsClient):
+    """Grants one two-job lease and refuses every later one.  The
+    first delivery fails in transit; the re-send lands (or raises
+    ``then``)."""
+
+    def __init__(self, url, *args, then=None, **kwargs):
+        super().__init__(url)
+        self.then = then
+        self.deliveries = []
+
+    def lease(self, worker_id, max_jobs=1):
+        self.leases += 1
+        if self.leases > 1:
+            raise ConnectionRefusedError("service gone")
+        jobs = [_toy_job(episodes=20, seeds=seed) for seed in (1, 2)]
+        entries = [
+            {"id": f"job-{i}", "job": asdict(job), "key": job_key(job)}
+            for i, job in enumerate(jobs)
+        ]
+        return {"lease": {"lease_id": "lease-1", "attempt": 1}, "jobs": entries}
+
+    def submit_results(self, lease_id, outcomes):
+        self.deliveries.append((lease_id, outcomes))
+        if len(self.deliveries) == 1:
+            raise ConnectionResetError("connection reset by peer")
+        if self.then is not None:
+            raise self.then
+        return {"results": [{"job_id": o["job_id"]} for o in outcomes]}
+
+
 class TestWorkerLoop:
     def test_failed_delivery_ends_repro_work_with_stats(self, monkeypatch, capsys):
         """Regression: a delivery that hit a vanished service escaped
@@ -1113,7 +1145,200 @@ class TestWorkerLoop:
         assert stats_line.startswith("worker stats: ")
         stats = json.loads(stats_line[len("worker stats: ") :])
         assert stats["completed"] == stats["failed"] == 0
+        assert stats["undelivered"] == 1
         assert stats["polls"] == 1
+
+    def test_failed_delivery_is_resent_before_the_next_lease(self):
+        """A batch whose delivery failed in transit is kept and re-sent:
+        its jobs count once, and the worker never leases them again."""
+        client = _FlakyDeliveryClient(None)
+        worker = FleetWorker(
+            WorkerConfig(server="http://stub", poll_s=0.01, lease_batch=2, max_jobs=2),
+            client=client,
+        )
+        worker.register()
+        stats = worker.run()
+        assert client.leases == 1
+        assert [lease for lease, _ in client.deliveries] == ["lease-1", "lease-1"]
+        assert client.deliveries[0][1] == client.deliveries[1][1]
+        assert [o["job_id"] for o in client.deliveries[1][1]] == ["job-0", "job-1"]
+        assert stats.completed == 2
+        assert stats.failed == stats.lost_leases == stats.undelivered == 0
+
+    def test_resent_delivery_to_an_expired_lease_counts_as_lost(self):
+        client = _FlakyDeliveryClient(None, then=LeaseExpiredError("lease expired"))
+        config = WorkerConfig(server="http://stub", poll_s=0.01, lease_batch=2)
+        worker = FleetWorker(config, client=client)
+        worker.register()
+        with pytest.raises(ConnectionResetError):
+            worker.run_one()
+        assert worker.run_one() is True  # the re-send, answered 409
+        assert worker.stats.lost_leases == 1
+        assert worker.stats.completed == worker.stats.undelivered == 0
+        with pytest.raises(ConnectionRefusedError):
+            worker.run_one()  # the next step leases again
+        assert client.leases == 2
+
+
+class _BeatClient:
+    """Records every heartbeat; raises the queued errors first."""
+
+    def __init__(self, *errors):
+        self.errors = list(errors)
+        self.beats = []
+
+    def heartbeat(self, lease_id, checkpoints=None):
+        if self.errors:
+            raise self.errors.pop(0)
+        self.beats.append(checkpoints)
+        return {}
+
+
+@pytest.fixture(scope="module")
+def toy_lut():
+    from repro.runtime.campaign import load_or_profile_lut
+
+    return load_or_profile_lut(_toy_job())[0]
+
+
+class TestCheckpointCarriage:
+    """Captures are staged as dicts and encoded only by the beat that
+    ships them."""
+
+    def _capture(self, lut, on_checkpoint, seed=0):
+        from repro.core.config import SearchConfig
+        from repro.core.search import QSDNNSearch
+
+        config = SearchConfig(episodes=200, seed=seed)
+        QSDNNSearch(lut, config).run(checkpoint_every=20, on_checkpoint=on_checkpoint)
+
+    def _counting_encoder(self, monkeypatch):
+        from repro.core import checkpoint
+
+        calls = []
+        original = checkpoint.encode_checkpoint
+
+        def counting(ckpt):
+            calls.append(ckpt["episode"])
+            return original(ckpt)
+
+        monkeypatch.setattr(checkpoint, "encode_checkpoint", counting)
+        return calls
+
+    def test_offers_without_a_beat_encode_nothing(self, monkeypatch, toy_lut):
+        encoded = self._counting_encoder(monkeypatch)
+        beat = _Heartbeat(_BeatClient(), "lease-1", 3600.0)
+        for job in ("job-a", "job-b"):
+            self._capture(toy_lut, FleetWorker._make_on_checkpoint(beat, job))
+        assert encoded == []
+
+    def test_a_beat_ships_the_newest_capture_per_job(self, monkeypatch, toy_lut):
+        from repro.core.checkpoint import encode_checkpoint
+
+        client = _BeatClient()
+        beat = _Heartbeat(client, "lease-1", 3600.0)
+        newest = {}
+        for seed, job in enumerate(("job-a", "job-b")):
+            stage = FleetWorker._make_on_checkpoint(beat, job)
+
+            def on_checkpoint(ckpt, job=job, stage=stage):
+                # Encoded at capture time: what shipping must reproduce.
+                newest[job] = (ckpt["episode"], encode_checkpoint(ckpt))
+                return stage(ckpt)
+
+            self._capture(toy_lut, on_checkpoint, seed=seed)
+        encoded = self._counting_encoder(monkeypatch)
+        assert beat.beat() is True
+        assert client.beats == [{job: text for job, (_, text) in newest.items()}]
+        assert sorted(encoded) == sorted(ep for ep, _ in newest.values()) == [180, 180]
+        assert beat.beat() is True  # nothing fresh: a bare beat
+        assert client.beats[-1] is None
+
+    def test_a_failed_beat_keeps_captures_unless_superseded(self):
+        class Racing(_BeatClient):
+            def heartbeat(self, lease_id, checkpoints=None):
+                if self.errors:  # a newer capture lands mid-beat
+                    beat.offer("job-b", {"episode": 40})
+                return super().heartbeat(lease_id, checkpoints)
+
+        client = Racing(OSError("connection reset"))
+        beat = _Heartbeat(client, "lease-1", 3600.0)
+        beat.offer("job-a", {"episode": 20})
+        beat.offer("job-b", {"episode": 20})
+        assert beat.beat() is True  # transport error: the beat is retried
+        assert beat.beat() is True
+        assert client.beats == [
+            {"job-a": '{"episode":20}', "job-b": '{"episode":40}'}
+        ]
+
+    def test_concurrent_offers_and_flaky_beats_keep_the_newest(self):
+        """Stress: eight jobs offer from their own threads while beats
+        run and every other beat fails in transit.  Per job,
+        shipped captures only move forward and the last one shipped is
+        the last offered: a capture re-queued by a failed beat never
+        overwrites a newer offer that landed meanwhile."""
+        import sys
+
+        class Flaky(_BeatClient):
+            calls = 0
+
+            def heartbeat(self, lease_id, checkpoints=None):
+                self.calls += 1
+                time.sleep(0.0002)  # a round trip: offers land meanwhile
+                if self.calls % 2:
+                    raise OSError("connection reset")
+                if checkpoints:
+                    self.beats.append(checkpoints)
+                return {}
+
+        client = Flaky()
+        beat = _Heartbeat(client, "lease-1", 3600.0)
+        jobs, offers = [f"job-{i}" for i in range(8)], 200
+        done = threading.Event()
+
+        def offer(job):
+            for episode in range(1, offers + 1):
+                beat.offer(job, {"job": job, "episode": episode})
+                time.sleep(0)
+
+        def beating():
+            while not done.is_set():
+                beat.beat()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=offer, args=(j,)) for j in jobs]
+            beater = threading.Thread(target=beating)
+            beater.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            done.set()
+            beater.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not beater.is_alive()
+        assert not any(t.is_alive() for t in threads)
+        for _ in range(2):  # one beat fails, the next ships the rest
+            beat.beat()
+        assert not beat._checkpoints
+        shipped = {job: [] for job in jobs}
+        for texts in client.beats:
+            for job, text in texts.items():
+                shipped[job].append(json.loads(text)["episode"])
+        for job in jobs:
+            assert shipped[job] == sorted(set(shipped[job])), job
+            assert shipped[job][-1] == offers, job
+
+    def test_lost_lease_preempts_the_search(self, toy_lut):
+        client = _BeatClient(LeaseExpiredError("lease revoked"))
+        beat = _Heartbeat(client, "lease-1", 3600.0)
+        assert beat.beat() is False
+        assert beat.lost.is_set()
+        with pytest.raises(PreemptedError):
+            self._capture(toy_lut, FleetWorker._make_on_checkpoint(beat, "job-a"))
 
 
 #: Terminal job states.

@@ -7,8 +7,9 @@ one fsync'ing sqlite transaction per write.  This bench floods a live
 service with tiny fig1_toy searches and measures end-to-end jobs/s
 plus submit→result latency in three configurations:
 
-* ``local`` — the service's own process pool (2 workers), the
-  no-network reference point.
+* ``local`` — the service's own 2 local workers: forked processes
+  that lease over loopback, one job per lease, on keep-alive
+  connections (``repro serve --workers 2``).
 * ``fleet_legacy`` — 2 in-process fleet workers with the
   pre-batching settings: one job per lease, a fresh TCP connection
   per request (``keep_alive=False``), rollback-journal store with one
@@ -41,6 +42,7 @@ from repro import __version__
 from repro.core.config import ServiceConfig
 from repro.runtime.client import ServiceClient
 from repro.runtime.service import CampaignService
+from repro.runtime.store import ResultStore
 from repro.runtime.worker import FleetWorker, WorkerConfig
 
 #: Machine-readable artifact consumed by CI and revision comparisons.
@@ -73,7 +75,13 @@ GROUP_COMMIT = 32
 class _LiveService:
     """A CampaignService running on a background event-loop thread."""
 
-    def __init__(self, store_path: str, cache_dir: str, **overrides) -> None:
+    def __init__(
+        self,
+        store_path: str,
+        cache_dir: str,
+        store: ResultStore | None = None,
+        **overrides,
+    ) -> None:
         self.config = ServiceConfig(
             port=0,
             store_path=store_path,
@@ -81,7 +89,7 @@ class _LiveService:
             queue_limit=N_JOBS + 8,
             **overrides,
         )
-        self.service = CampaignService(self.config)
+        self.service = CampaignService(self.config, store=store)
         self.loop = asyncio.new_event_loop()
         started = threading.Event()
 
@@ -108,12 +116,11 @@ class _LiveService:
 
 def _drain(worker: FleetWorker, stop: threading.Event) -> None:
     """A fleet worker's bench loop: lease/execute/report until told to
-    stop (idle polls spin fast — the bench measures the data plane,
-    not the idle backoff)."""
+    stop (an empty poll is a long-poll the service answers the moment
+    a job is queued)."""
     while not stop.is_set():
         try:
-            if not worker.run_one():
-                time.sleep(0.002)
+            worker.run_one()
         except Exception:
             if stop.is_set():
                 return
@@ -218,7 +225,7 @@ def _run_local_mode(tmp: pathlib.Path, cache_dir: str) -> dict:
     finally:
         client.close()
         live.shutdown()
-    measured.update(workers=FLEET_WORKERS, lease_batch=0, keep_alive=True)
+    measured.update(workers=FLEET_WORKERS, lease_batch=1, keep_alive=True)
     return measured
 
 
@@ -234,9 +241,11 @@ def _run_fleet_mode(
     live = _LiveService(
         str(tmp / f"{name}.sqlite"),
         cache_dir,
+        store=ResultStore(
+            tmp / f"{name}.sqlite", wal=wal, group_commit=group_commit
+        ),
         workers=0,
         store_wal=wal,
-        store_group_commit=group_commit,
     )
     client = ServiceClient(live.url, keep_alive=keep_alive)
     stop = threading.Event()
@@ -280,7 +289,7 @@ def _run_fleet_mode(
 
 
 def test_service_throughput(tmp_path, emit):
-    """The small-job flood: local pool, legacy fleet, batched fleet.
+    """The small-job flood: local workers, legacy fleet, batched fleet.
 
     The batched data plane must beat the legacy one clearly even on a
     noisy CI box (the committed artifact records the real margin; the

@@ -3,14 +3,16 @@
 
 The acceptance script for the anytime subsystem (CI runs it):
 
-1. start ``python -m repro serve`` with one local worker and
-   ``--checkpoint-every`` enabled;
+1. start ``python -m repro serve`` with one local worker,
+   ``--checkpoint-every`` enabled and a short ``--lease-ttl`` (the
+   worker's heartbeats, one per third of the TTL, carry its
+   checkpoints into the store);
 2. submit a deliberately long scenario and read its SSE stream until a
    live ``progress`` event arrives — proof the event came from an
    in-loop checkpoint while the job was still *running*;
-3. ``DELETE`` the running job — the service must answer 202, preempt
-   the worker at the next episode boundary, persist its checkpoint
-   into the result store and land the record ``cancelled``;
+3. ``DELETE`` the running job — the service must answer 202, revoke
+   the job's lease and land the record ``cancelled`` at once, keeping
+   the latest heartbeat-carried checkpoint in the result store;
 4. resubmit the same scenario with ``"resume": true`` — the job must
    finish from the checkpoint, and its ``best_ms``/``curve_ms`` must
    be **bitwise-equal** to the same scenario run uninterrupted via
@@ -31,7 +33,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -43,10 +44,13 @@ PLATFORM = "jetson_tx2"
 MODE = "gpgpu"
 #: Capture an in-episode checkpoint every N episodes.
 EVERY = 100
+#: Lease TTL: the worker beats every third of it, so checkpoints (and
+#: live progress) reach the service several times within the job.
+LEASE_TTL_S = 1.5
 
 #: The preemption victim: a long scenario (reference kernel episode
 #: rate -> seconds of execution) so the DELETE reliably lands while
-#: the search is mid-flight with checkpoints already spooled.
+#: the search is mid-flight with checkpoints already carried.
 JOB = {
     "network": "fig1_toy",
     "platform": PLATFORM,
@@ -82,16 +86,6 @@ def _repro(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
     return result
 
 
-def _wait_for(predicate, timeout_s: float, what: str):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(0.05)
-    raise SystemExit(f"timed out after {timeout_s}s waiting for {what}")
-
-
 def main() -> int:
     """Run the smoke; returns the process exit code."""
     with tempfile.TemporaryDirectory(prefix="anytime-smoke-") as tmp:
@@ -102,6 +96,7 @@ def main() -> int:
             "--store", str(tmp_path / "results.sqlite"),
             "--cache-dir", str(tmp_path / "luts"),
             "--checkpoint-every", str(EVERY),
+            "--lease-ttl", str(LEASE_TTL_S),
         ]  # fmt: skip
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", *serve_args],
@@ -142,16 +137,10 @@ def main() -> int:
 
             cancelled = client.cancel(record["id"])
             assert cancelled["preempting"] is True, cancelled
-            final = _wait_for(
-                lambda: (
-                    client.job(record["id"])
-                    if client.job(record["id"])["state"] == "cancelled"
-                    else None
-                ),
-                60,
-                "the preempted job to land cancelled",
-            )
-            assert "preempted at episode" in final["error"], final["error"]
+            assert cancelled["state"] == "cancelled", cancelled
+            assert "lease revoked" in cancelled["error"], cancelled["error"]
+            final = client.job(record["id"])
+            assert final["state"] == "cancelled", final
             print(f"[3/5] DELETE preempted the running job ({final['error']})")
 
             resumed = client.submit({**JOB, "resume": True})[0]
@@ -224,7 +213,7 @@ def main() -> int:
                     server.wait(10)
                 except subprocess.TimeoutExpired:
                     pass
-                # Orphaned pool children of a killed server share its
+                # Orphaned worker children of a killed server share its
                 # stdout pipe: a blocking read() here would hang, so
                 # drain whatever is already buffered and move on.
                 os.set_blocking(server.stdout.fileno(), False)

@@ -410,7 +410,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             rate_burst=args.rate_burst,
             drain_timeout_s=args.drain_timeout,
             lease_batch_limit=args.lease_batch_limit,
-            store_group_commit=args.store_group_commit,
             store_wal=not args.store_no_wal,
             checkpoint_every=args.checkpoint_every,
             checkpoint_ttl_s=args.checkpoint_ttl,
@@ -780,7 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8421,
                    help="TCP port (0: let the OS pick; printed at startup)")
     p.add_argument("--workers", type=int, default=2,
-                   help="worker processes draining the job queue")
+                   help="local worker processes, forked at start; each "
+                        "leases jobs from this service over loopback")
     p.add_argument("--queue-limit", type=int, default=64,
                    help="queued-job cap before POST /jobs answers 429")
     p.add_argument("--store", default=None,
@@ -792,8 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upstream LUT shard server chained behind the "
                         "local tier")
     p.add_argument("--lease-ttl", type=float, default=30.0,
-                   help="seconds a fleet worker's lease survives without "
-                        "a heartbeat before its job is requeued")
+                   help="seconds a worker's lease survives without a "
+                        "heartbeat before its job is requeued; workers "
+                        "beat (and carry checkpoints) every third of it")
     p.add_argument("--lease-check", type=float, default=1.0,
                    help="seconds between lease-reaper sweeps")
     p.add_argument("--max-lease-retries", type=_positive_int, default=3,
@@ -807,14 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-burst", type=_positive_int, default=10,
                    help="token-bucket burst size of the rate limit")
     p.add_argument("--drain-timeout", type=float, default=30.0,
-                   help="seconds shutdown waits for outstanding fleet "
-                        "leases before releasing them")
+                   help="seconds shutdown waits for outstanding leases "
+                        "(local and fleet workers) before releasing them")
     p.add_argument("--lease-batch-limit", type=_positive_int, default=64,
                    help="max jobs one POST /leases may claim (clamps "
                         "the worker's max_jobs request)")
-    p.add_argument("--store-group-commit", type=int, default=0,
-                   help="buffer up to N result rows per sqlite commit "
-                        "(0: commit every result immediately)")
     p.add_argument("--store-no-wal", action="store_true",
                    help="disable WAL mode on the file-backed result "
                         "store (full per-write fsync durability)")
@@ -842,7 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="remote LUT shard server chained behind the "
                         "local tier")
     p.add_argument("--poll", type=float, default=0.5,
-                   help="seconds between lease polls on an empty queue")
+                   help="long-poll window: seconds the service may hold "
+                        "an empty lease request before answering")
     p.add_argument("--max-jobs", type=int, default=0,
                    help="exit after this many executed jobs (0: run "
                         "until the service goes away)")

@@ -19,8 +19,9 @@ class ServiceConfig:
     """Configuration of the async campaign service (``repro serve``).
 
     The service accepts :class:`~repro.runtime.campaign.CampaignJob`
-    submissions over HTTP, runs them on a bounded worker pool and
-    persists payloads in a :class:`~repro.runtime.store.ResultStore`;
+    submissions over HTTP, runs them on lease-pulling workers (its own
+    local worker processes and any remote fleet hosts) and persists
+    payloads in a :class:`~repro.runtime.store.ResultStore`;
     see :mod:`repro.runtime.service` and ``docs/service.md``.
     """
 
@@ -30,8 +31,10 @@ class ServiceConfig:
     #: TCP port; 0 lets the OS pick (the bound port is printed and
     #: exposed as ``CampaignService.port``).
     port: int = 8421
-    #: Worker processes draining the job queue.  0 accepts jobs but
-    #: never runs them (useful for tests and manual queue control).
+    #: Local worker processes the service forks at start; each runs
+    #: the fleet worker loop against the bound port over loopback.
+    #: 0 leaves the queue to remote fleet workers alone (or to nobody:
+    #: useful for tests and manual queue control).
     workers: int = 2
     #: Maximum queued (not yet running) jobs before ``POST /jobs``
     #: answers 429 — the service's back-pressure valve.
@@ -54,9 +57,12 @@ class ServiceConfig:
     #: stay available through the result store); queued/running
     #: records are never evicted.
     keep_records: int = 1024
-    #: Seconds a fleet worker's lease stays valid without a heartbeat.
-    #: Each heartbeat extends the deadline by this much; a missed
-    #: deadline expires the lease and requeues the job.
+    #: Seconds a worker's lease stays valid without a heartbeat.  Each
+    #: heartbeat extends the deadline by this much; a missed deadline
+    #: expires the lease and requeues the job.  Workers beat every
+    #: third of it, and each beat carries the jobs' latest anytime
+    #: checkpoints (live progress and crash recovery run at that
+    #: cadence).
     lease_ttl_s: float = 30.0
     #: Seconds between lease-reaper sweeps (expiry detection latency).
     lease_check_s: float = 1.0
@@ -73,19 +79,14 @@ class ServiceConfig:
     #: Token-bucket burst capacity (requests a quiet tenant may send
     #: back-to-back before the per-second rate applies).
     rate_burst: int = 10
-    #: Seconds graceful shutdown waits for outstanding fleet leases to
-    #: complete before releasing them (their jobs are then requeued
-    #: and cancelled like other queued jobs).
+    #: Seconds graceful shutdown waits for outstanding leases (local
+    #: and remote workers alike) to complete before releasing them
+    #: (their jobs are then cancelled like other queued jobs).
     drain_timeout_s: float = 30.0
     #: Maximum jobs one ``POST /leases`` may claim (``max_jobs`` is
     #: clamped to this) — bounds how much queued work a single slow or
     #: crash-prone worker can hold hostage under one lease.
     lease_batch_limit: int = 64
-    #: Result-store group-commit buffer size: 0 commits every result
-    #: immediately; N > 0 coalesces up to N rows per sqlite commit
-    #: (flushed on batch boundaries, reaper ticks and shutdown).  See
-    #: :class:`~repro.runtime.store.ResultStore`.
-    store_group_commit: int = 0
     #: Run the file-backed result store in WAL mode with
     #: ``synchronous=NORMAL`` (the throughput default); False keeps
     #: the rollback journal with per-write full fsync durability.
@@ -149,10 +150,6 @@ class ServiceConfig:
         if self.lease_batch_limit < 1:
             raise ConfigError(
                 f"lease_batch_limit must be >= 1, got {self.lease_batch_limit}"
-            )
-        if self.store_group_commit < 0:
-            raise ConfigError(
-                f"store_group_commit must be >= 0, got {self.store_group_commit}"
             )
         if self.checkpoint_every < 0:
             raise ConfigError(

@@ -24,8 +24,6 @@ every process.
 from __future__ import annotations
 
 import atexit
-import hashlib
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +37,6 @@ from repro.engine.pricing import SharedCostTables
 from repro.errors import ConfigError, ScheduleError
 from repro.hw import jetson_tx2, jetson_tx2_maxn, raspberry_pi3
 from repro.runtime.lutcache import LutKey, open_cache
-from repro.utils.fsio import atomic_write_text
 from repro.zoo import available_networks, build_network
 
 #: Platform factories by name — the unit a job ships across processes.
@@ -329,62 +326,12 @@ def release_shared_tables(exported: dict[LutKey, SharedCostTables]) -> None:
         _OWNED_TABLES.remove(batch)
 
 
-def checkpoint_spool_name(key: str) -> str:
-    """Stable filesystem-safe spool-file stem for a job key."""
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-
-
-def spool_paths(spool_dir: str | Path, key: str) -> tuple[Path, Path, Path]:
-    """The ``(checkpoint, progress, cancel)`` spool paths of a job key.
-
-    The anytime spool is how checkpoints cross the pool-worker process
-    boundary (``ProcessPoolExecutor`` cannot ship callables): workers
-    atomically write ``<sha>.ckpt`` (the encoded checkpoint) and
-    ``<sha>.progress`` (a tiny ``{"episode", "best_ms"}`` sidecar the
-    SSE stream polls), and poll for a ``<sha>.cancel`` flag the service
-    drops to preempt the job.
-    """
-    stem = checkpoint_spool_name(key)
-    base = Path(spool_dir)
-    return (
-        base / f"{stem}.ckpt",
-        base / f"{stem}.progress",
-        base / f"{stem}.cancel",
-    )
-
-
-def _spool_checkpoint_callback(spool_dir: str | Path, key: str):
-    """Build the spool-backed ``on_checkpoint`` for one job.
-
-    Writes the snapshot and its progress sidecar atomically, then
-    honors the cancel flag by returning ``False`` — the cancel check
-    runs *after* the write so a preempted job's final checkpoint is
-    always on disk for the service to persist and resume from.
-    """
-    from repro.core.checkpoint import encode_checkpoint
-
-    ckpt_path, progress_path, cancel_path = spool_paths(spool_dir, key)
-
-    def on_checkpoint(ckpt: dict):
-        atomic_write_text(ckpt_path, encode_checkpoint(ckpt))
-        atomic_write_text(
-            progress_path,
-            json.dumps(
-                {"episode": ckpt["episode"], "best_ms": ckpt["best_ms"]}
-            ),
-        )
-        return not cancel_path.exists()
-
-    return on_checkpoint
-
-
 def execute_job(
     job: CampaignJob,
     cache_dir: str | Path | None = None,
     cache_remote: str | list[str] | None = None,
     shared_tables: str | None = None,
     checkpoint_every: int | None = None,
-    checkpoint_dir: str | Path | None = None,
     resume_text: str | None = None,
     on_checkpoint=None,
     warm_text: str | None = None,
@@ -400,11 +347,10 @@ def execute_job(
     The anytime arguments apply to the checkpointable kinds
     (``"search"`` and ``"multi-seed"``) and are ignored by the rest:
     ``checkpoint_every=N`` captures a checkpoint every N episodes and
-    hands it to ``on_checkpoint`` — or, when ``checkpoint_dir`` is
-    given instead of a callable, to the spool callback built by
-    :func:`_spool_checkpoint_callback` (the pool-worker path).
-    ``resume_text`` is an encoded checkpoint to continue from; the
-    resumed run finishes bitwise-identical to an uninterrupted one.
+    hands it to ``on_checkpoint`` (a fleet worker stages it for its
+    next lease heartbeat).  ``resume_text`` is an encoded checkpoint
+    to continue from; the resumed run finishes bitwise-identical to an
+    uninterrupted one.
 
     ``warm_text`` is an encoded Q-prior spec
     (:func:`repro.core.priors.encode_prior_spec`) for jobs with
@@ -431,14 +377,10 @@ def execute_job(
         checkpoint_every or resume_text is not None or on_checkpoint is not None
     ):
         from repro.core.checkpoint import decode_checkpoint
-        from repro.runtime.store import job_key
 
-        callback = on_checkpoint
-        if callback is None and checkpoint_dir is not None and checkpoint_every:
-            callback = _spool_checkpoint_callback(checkpoint_dir, job_key(job))
         anytime = {
             "checkpoint_every": checkpoint_every,
-            "on_checkpoint": callback,
+            "on_checkpoint": on_checkpoint,
             "resume": (
                 decode_checkpoint(resume_text)
                 if resume_text is not None

@@ -239,18 +239,24 @@ class ServiceClient:
         """``GET /workers`` — registered workers plus active leases."""
         return self._checked("GET", "/workers")
 
-    def lease(self, worker_id: str, max_jobs: int = 1) -> dict | None:
+    def lease(
+        self, worker_id: str, max_jobs: int = 1, wait_s: float = 0.0
+    ) -> dict | None:
         """``POST /leases`` — claim the next queued job(s).
 
         Returns the grant (``lease`` plus ``jobs``, the leased job
         records in priority order) or None when the queue is empty
         (HTTP 204) — poll again later.  ``max_jobs > 1`` asks for up to
         that many jobs under one lease id and one heartbeat (the
-        service clamps to its ``lease_batch_limit``).
+        service clamps to its ``lease_batch_limit``).  ``wait_s > 0``
+        long-polls: the service holds an empty request until a job is
+        queued or ``wait_s`` runs out.
         """
         body: dict = {"worker": worker_id}
         if max_jobs != 1:
             body["max_jobs"] = max_jobs
+        if wait_s > 0:
+            body["wait_s"] = wait_s
         status, parsed = self.request("POST", "/leases", body)
         if status == 204:
             return None

@@ -9,11 +9,13 @@ This module is that service layer:
   scenarios or whole grids) with an integer priority (lower runs
   first).  The queue is depth-bounded: past ``queue_limit`` the service
   answers **429** instead of buffering unboundedly (back-pressure).
-* **Bounded worker pool** — N asyncio workers drain the queue and shard
-  jobs onto a :class:`~concurrent.futures.ProcessPoolExecutor` via
-  :func:`~repro.runtime.campaign.execute_job`, so searches run off the
-  event loop with the kernel backend each job requested and the shared
-  on-disk LUT cache.
+* **Local workers** — ``workers=N`` forks N worker processes once the
+  listener binds.  Each runs the fleet worker loop
+  (:class:`~repro.runtime.worker.FleetWorker`) against the bound port
+  over loopback, one job per lease, so searches run off the event loop
+  with the kernel backend each job requested and the shared on-disk
+  LUT cache.  They are fleet workers the service owns: the reaper
+  expires the leases of one that exits and forks its replacement.
 * **Persistent result store** — every payload lands in a
   :class:`~repro.runtime.store.ResultStore` keyed by the full job
   identity; re-submitting a solved scenario is an instant cache hit
@@ -28,17 +30,19 @@ This module is that service layer:
   order), then a terminal ``done``/``failed``/``cancelled`` event.
 * **Anytime search** — with ``checkpoint_every=N`` every search /
   multi-seed job captures a :mod:`repro.core.checkpoint` snapshot
-  each N episodes.  Local pool jobs spool snapshots to a temp
-  directory (callables cannot cross the process-pool boundary);
-  fleet workers carry them in heartbeat bodies.  The latest snapshot
-  per job key is persisted in the result store's checkpoint table,
-  which buys three things: ``DELETE /jobs/{id}`` *preempts* a
-  running job (202) instead of just refusing; a SIGKILLed pool or
-  fleet worker's job is requeued with its checkpoint attached (crash
-  recovery); and re-submitting with ``"resume": true`` continues
-  from the stored snapshot — finishing bitwise-identical to a run
-  that was never interrupted (exactness contract 8,
+  each N episodes, and the worker's lease heartbeats (one per
+  ``lease_ttl_s / 3``) carry the newest one.  The latest snapshot per
+  job key is persisted in the result store's checkpoint table, which
+  feeds live ``progress`` events and buys two more things: a
+  SIGKILLed worker's job is requeued with its checkpoint attached
+  (crash recovery); and re-submitting with ``"resume": true``
+  continues from the stored snapshot — finishing bitwise-identical to
+  a run that was never interrupted (exactness contract 8,
   ``docs/architecture.md``).
+* **Preemption** — ``DELETE /jobs/{id}`` on a running job revokes its
+  lease (202): the job is cancelled at once, its latest carried
+  checkpoint stays in the store for a resume, batch siblings are
+  requeued, and the worker's next heartbeat answers 409 so it stops.
 * **LUT shard serving** — ``GET/PUT /luts/{platform}/{network}``
   expose the instance's local LUT cache tier to the fleet: any other
   machine's campaign (``--cache-remote URL``) fetches LUTs profiled
@@ -52,11 +56,11 @@ This module is that service layer:
   ``POST /leases/{id}/heartbeat`` and deliver every result of the
   lease in one ``POST /leases/{id}/results`` (a one-job lease is a
   batch of one) — landing in the same :class:`ResultStore`,
-  bitwise-identical to local execution.  A missed heartbeat (worker
-  crash, network partition) expires the lease and requeues its jobs
-  with a bounded retry budget; the local process pool is just another
-  worker of the same lease table (its leases never expire — liveness
-  is structural).
+  bitwise-identical whichever worker ran them.  An empty ``POST
+  /leases`` carrying ``wait_s`` is a long-poll, held until a job is
+  queued or the wait runs out.  A missed heartbeat (worker crash,
+  network partition) expires the lease and requeues its jobs with a
+  bounded retry budget.
 * **Tenancy guards** — per-tenant (``X-Tenant`` header) token-bucket
   rate limits and active-job admission quotas on ``POST /jobs``, both
   answering 429 + ``Retry-After`` so one tenant cannot starve the
@@ -67,10 +71,10 @@ This module is that service layer:
   rates.  ``/metrics`` and ``/healthz`` bypass every admission guard —
   a saturated service must stay observable.
 * **Graceful shutdown** — ``POST /shutdown`` (or SIGINT/SIGTERM under
-  ``repro serve``) stops intake, cancels queued jobs, waits for
-  outstanding fleet leases (bounded by ``drain_timeout_s``, requeue →
-  cancel past it), waits for in-flight local jobs to finish, persists
-  their results, then exits.
+  ``repro serve``) stops intake, cancels queued jobs, answers parked
+  lease polls, waits for outstanding leases of local and remote
+  workers alike (bounded by ``drain_timeout_s``; cancel past it),
+  stops the local worker processes, then exits.
 
 The HTTP layer is stdlib-only: a minimal HTTP/1.1 server written
 directly on :func:`asyncio.start_server`, so the service runs anywhere
@@ -84,44 +88,34 @@ Every endpoint is documented with examples in ``docs/service.md``.
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import json
 import math
-import shutil
-import tempfile
+import multiprocessing
+import os
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
-from repro.core import checkpoint as ckpt_mod
 from repro.core.config import ServiceConfig
 from repro.core.multi_seed import MultiSeedResult
-from repro.engine.pricing import SharedCostTables
 from repro.errors import (
     ConfigError,
     LeaseError,
     LeaseExpiredError,
     LutCacheError,
-    PreemptedError,
     QueueFullError,
     QuotaExceededError,
     ServiceError,
 )
-from repro.runtime.campaign import (
-    CampaignJob,
-    CampaignResult,
-    execute_job,
-    grid,
-    spool_paths,
-)
+from repro.runtime.campaign import CampaignJob, CampaignResult, grid
 from repro.runtime.lutcache import LocalTier, LutKey, validate_entry
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.store import (
     LEASE_COMPLETED,
+    LEASE_EXPIRED,
     LEASE_FAILED,
     LEASE_RELEASED,
     ResultStore,
@@ -130,6 +124,7 @@ from repro.runtime.store import (
     decode_payload,
     job_key,
 )
+from repro.runtime.worker import FleetWorker, WorkerConfig
 
 #: Sentinel: "submit() should consult the store itself" (distinct from
 #: an explicit ``stored=None``, which asserts a known store miss).
@@ -167,12 +162,6 @@ MAX_REQUESTS_PER_CONNECTION = 1000
 #: see :meth:`CampaignService._body_limit`.
 MAX_BODY_BYTES = 1 << 20
 
-#: Lease TTL used for the local worker pool.  Local workers' liveness
-#: is structural (an awaited in-process future cannot vanish without
-#: the whole service dying), so their leases never expire — the value
-#: only exists so local and fleet execution share one lease table.
-LOCAL_LEASE_TTL_S = 1e9
-
 #: Tenant assumed when ``POST /jobs`` carries no ``X-Tenant`` header.
 DEFAULT_TENANT = "default"
 
@@ -208,7 +197,8 @@ class TokenBucket:
 
 @dataclass
 class WorkerInfo:
-    """One registered worker (local pool member or remote fleet host)."""
+    """One registered worker (a service-owned local worker process or a
+    remote fleet host)."""
 
     id: str
     name: str
@@ -292,12 +282,12 @@ class JobRecord:
     #: on ``"resume": true`` submissions and crash-recovery requeues).
     resume_text: str | None = field(default=None, repr=False)
     #: Encoded Q-prior spec for warm-started jobs — resolved from the
-    #: result corpus at submission, shipped to whichever worker (pool
-    #: or fleet) runs the job.  None means the job runs cold even if
-    #: it asked for a warm start (the corpus had nothing to offer).
+    #: result corpus at submission, shipped to whichever worker runs
+    #: the job.  None means the job runs cold even if it asked for a
+    #: warm start (the corpus had nothing to offer).
     warm_text: str | None = field(default=None, repr=False)
     #: Latest in-flight progress (``{"episode", "best_ms"}``) reported
-    #: through a fleet heartbeat's checkpoint carriage.
+    #: through a lease heartbeat's checkpoint carriage.
     progress: dict | None = None
     done_event: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
@@ -421,14 +411,15 @@ class CampaignService:
     Lifecycle::
 
         service = CampaignService(ServiceConfig(port=0, workers=2))
-        await service.start()        # binds HTTP, spawns workers
+        await service.start()        # binds HTTP, forks local workers
         ...                          # service.port is the bound port
-        await service.shutdown()     # graceful: drains in-flight jobs
+        await service.shutdown()     # graceful: drains every lease
 
     or, from the CLI, ``repro serve`` which runs
     :meth:`serve_forever` with signal handlers installed.  All state
-    lives on one event loop; jobs execute in worker *processes* so the
-    loop stays responsive while searches run.
+    lives on one event loop; jobs execute in worker *processes* —
+    forked local workers and remote fleet hosts, all leasing over
+    HTTP — so the loop stays responsive while searches run.
     """
 
     def __init__(
@@ -441,9 +432,7 @@ class CampaignService:
             store
             if store is not None
             else ResultStore(
-                self.config.store_path or ":memory:",
-                wal=self.config.store_wal,
-                group_commit=self.config.store_group_commit,
+                self.config.store_path or ":memory:", wal=self.config.store_wal
             )
         )
         self.records: dict[str, JobRecord] = {}
@@ -452,26 +441,23 @@ class CampaignService:
         self._order = itertools.count()  # FIFO tie-break within a priority
         self._active: dict[str, JobRecord] = {}  # job key -> queued/running
         self._pending = 0  # queued (not yet running) job count
-        self._workers: list[asyncio.Task] = []
+        #: Local worker processes by worker id, with the slot index a
+        #: replacement inherits.
+        self._local: dict[str, tuple[int, multiprocessing.Process]] = {}
+        #: Parked long-poll lease requests, woken when a job is queued.
+        self._lease_waiters: set[asyncio.Future] = set()
         self._lut_tier: LocalTier | None = (
             LocalTier(self.config.cache_dir)
             if self.config.cache_dir is not None
             else None
         )
-        self._executor: ProcessPoolExecutor | None = None
-        #: Checkpoint spool directory for local pool jobs (created at
-        #: start when checkpointing is on; removed at shutdown).
-        self._spool_dir: str | None = None
-        #: Shared pricing-table segments exported for worker jobs, one
-        #: per LUT key, owned by the service and unlinked at shutdown.
-        self._shared_tables: dict[LutKey, SharedCostTables] = {}
         self._server: asyncio.base_events.Server | None = None
         #: Open client connections and the handler task serving each.
         self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._closing = False
         self._closed = asyncio.Event()
         self.port: int | None = None
-        #: Registered workers (local pool members and fleet hosts).
+        #: Registered workers (local worker processes and fleet hosts).
         self.workers_info: dict[str, WorkerInfo] = {}
         self._worker_seq = itertools.count(1)
         self._lease_seq = itertools.count(1)
@@ -583,9 +569,7 @@ class CampaignService:
         m.gauge(
             "repro_jobs_running",
             "Jobs currently leased and executing.",
-            callback=lambda: float(
-                sum(1 for r in self.records.values() if r.state == RUNNING)
-            ),
+            callback=lambda: float(len(self._active) - self._pending),
         )
         m.gauge(
             "repro_workers_registered",
@@ -694,10 +678,16 @@ class CampaignService:
                 self._m_warm.inc(kind=job.warm_start)
         self.records[record.id] = record
         self._active[key] = record
-        self._pending += 1
-        self._queue.put_nowait((priority, next(self._order), record))
+        self._enqueue(record)
         self._prune_records(keep=record.id)
         return record
+
+    def _enqueue(self, record: JobRecord) -> None:
+        """Put a queued record on the priority queue (FIFO within a
+        priority) and wake the parked lease polls."""
+        self._pending += 1
+        self._queue.put_nowait((record.priority, next(self._order), record))
+        self._wake_lease_waiters(1)
 
     def _resolve_warm(self, job: CampaignJob) -> str | None:
         """Resolve a warm job's prior spec from this service's corpus.
@@ -771,7 +761,7 @@ class CampaignService:
         live-service test fixtures) treat a terminal state as "finished_s
         and the outcome are set".  Only then does the job key leave
         ``_active`` and progress streams wake.  Per-path work (lease
-        state, metrics, busy accounting, checkpoint and spool cleanup)
+        state, metrics, busy accounting, checkpoint cleanup)
         stays with the callers.
         """
         record.finished_s = time.time()
@@ -784,40 +774,21 @@ class CampaignService:
         record.done_event.set()
 
     def preempt(self, record: JobRecord) -> bool:
-        """Preempt a *running* job, keeping its latest checkpoint.
+        """Preempt a *running* job by revoking its lease.
 
-        Two paths, matching the two execution substrates:
+        The worker's next heartbeat answers 409: it stops the search at
+        its next checkpoint boundary (with checkpointing on) and
+        discards the batch, and a late delivery is refused.  The
+        targeted job is cancelled *now* (its latest heartbeat-carried
+        checkpoint stays in the store for resumption); batch siblings
+        were not the target and are explicitly **requeued**, not
+        discarded, via :meth:`_release_job`.
 
-        * **Local pool job** (checkpointing on): drop the spool cancel
-          flag — the search stops at its next episode boundary, the
-          worker's :class:`~repro.errors.PreemptedError` carries the
-          final snapshot, and :meth:`_finish_preempted` persists it.
-          The record stays ``running`` until that lands (the 202 says
-          ``preempting``, not ``preempted``).
-        * **Fleet-leased job**: revoke the lease — the worker's next
-          heartbeat answers 409 and it abandons the batch.  The
-          targeted job is cancelled *now* (its latest heartbeat-carried
-          checkpoint stays in the store for resumption); batch siblings
-          were not the target and are explicitly **requeued**, not
-          discarded, via :meth:`_release_job`.
-
-        Returns False when preemption is unavailable (no checkpointing
-        spool for a local job, or the lease is already gone) — the
-        caller answers 409 as before.
+        Returns False when the lease is already gone — the caller
+        answers 409.
         """
         if record.state != RUNNING:
             return False
-        info = self.workers_info.get(record.worker or "")
-        key = job_key(record.job)
-        if info is not None and info.local:
-            if self._spool_dir is None:
-                return False
-            _, _, cancel_path = spool_paths(self._spool_dir, key)
-            try:
-                cancel_path.touch()
-            except OSError:
-                return False
-            return True
         lease_id = record.lease_id
         if lease_id is None:
             return False
@@ -867,10 +838,11 @@ class CampaignService:
     ) -> WorkerInfo:
         """Register a worker and return its :class:`WorkerInfo`.
 
-        Local pool members register themselves at startup; fleet hosts
-        register over ``POST /workers``.  Ids are unique per service
-        lifetime (``w{seq}`` or ``w{seq}-{name}``), so two hosts
-        sharing a ``--name`` still get distinct lease ownership.
+        Local workers are registered by the service before their
+        process forks; fleet hosts register over ``POST /workers``.
+        Ids are unique per service lifetime (``w{seq}`` or
+        ``w{seq}-{name}``), so two hosts sharing a ``--name`` still get
+        distinct lease ownership.
         """
         if name is not None and not _valid_name(name):
             raise ConfigError(
@@ -905,13 +877,8 @@ class CampaignService:
         records: list[JobRecord] = []
         while len(records) < max_jobs:
             try:
-                _, order, record = self._queue.get_nowait()
+                _, _, record = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                break
-            if record is None:
-                # Shutdown sentinel destined for a local worker —
-                # put it back untouched.
-                self._queue.put_nowait((float("inf"), order, None))
                 break
             if record.state != QUEUED:  # cancelled while queued
                 continue
@@ -928,13 +895,12 @@ class CampaignService:
             record.started_s = time.time()
             record.attempts += 1
             self._pending -= 1
-        ttl = LOCAL_LEASE_TTL_S if info.local else self.config.lease_ttl_s
         lease = self.store.create_lease(
             f"lease-{next(self._lease_seq)}",
             [record.id for record in records],
             [job_key(record.job) for record in records],
             info.id,
-            ttl,
+            self.config.lease_ttl_s,
             attempt=max(record.attempts for record in records),
         )
         for record in records:
@@ -953,54 +919,31 @@ class CampaignService:
         info: WorkerInfo | None,
         result: CampaignResult | None,
         error: str | None,
-        persist: bool = True,
     ) -> None:
-        """Common terminal path for local and fleet execution.
+        """Terminal path of one delivered job.
 
-        Ends the record (:meth:`_end_job`), closes the lease row,
-        persists the payload, and updates worker accounting and
-        metrics.  Store failures degrade to a served-from-memory result
-        with a note in ``record.error`` — they never kill the caller.
-
-        Result delivery passes ``persist=False``: the whole lease lands
-        through one :meth:`ResultStore.put_many`, and the caller closes
-        the one lease row that covers every record.
+        Ends the record (:meth:`_end_job`) and updates worker
+        accounting and metrics.  The caller owns the lease row and the
+        store write: :meth:`finish_remote_batch` lands the whole
+        lease's payloads through one :meth:`ResultStore.put_many` and
+        closes the one lease row that covers every record.
         """
-        if persist and record.lease_id is not None:
-            self.store.finish_lease(
-                record.lease_id,
-                LEASE_COMPLETED if error is None else LEASE_FAILED,
-            )
         if error is not None:
             self._end_job(record, FAILED, error=error)
+            self._m_failed.inc(worker=record.worker or "unknown")
         else:
-            assert result is not None
             self._end_job(record, DONE, result=result)
-            if persist:
-                try:
-                    self.store.put(record.job, result.payload, result.wall_clock_s)
-                except Exception as exc:
-                    # The computed result is still served from memory;
-                    # a store failure must not kill the worker task or
-                    # leave the record stuck in `running`.
-                    record.error = (
-                        f"result not persisted — {type(exc).__name__}: {exc}"
-                    )
-            if result.lut_from_cache:
-                self._m_lut_hits.inc()
-            else:
-                self._m_lut_misses.inc()
-        worker_id = record.worker or "unknown"
+            self._m_completed.inc(worker=record.worker or "unknown")
+            (self._m_lut_hits if result.lut_from_cache else self._m_lut_misses).inc()
         if info is not None:
-            self._account_busy(record, info)
+            busy = record.finished_s - (record.started_s or record.finished_s)
+            info.busy_s += busy
+            info.last_seen_s = record.finished_s
+            self._m_busy.inc(busy, worker=info.id)
             if error is None:
                 info.completed += 1
             else:
                 info.failed += 1
-        if error is None:
-            self._m_completed.inc(worker=worker_id)
-        else:
-            self._m_failed.inc(worker=worker_id)
         # Checkpoint hygiene: a finished job's snapshot is dead weight
         # (and must not resurrect as a stale resume).  Guarded so the
         # common checkpointing-off path pays no store round-trip.
@@ -1009,71 +952,10 @@ class CampaignService:
             or record.progress is not None
             or record.resume_text is not None
         ):
-            key = job_key(record.job)
             try:
-                self.store.delete_checkpoint(key)
+                self.store.delete_checkpoint(job_key(record.job))
             except Exception:
                 pass
-            self._clear_spool(key)
-
-    def _account_busy(self, record: JobRecord, info: WorkerInfo) -> None:
-        """Charge a finished record's run time to the worker that ran it."""
-        busy = record.finished_s - (record.started_s or record.finished_s)
-        info.busy_s += busy
-        info.last_seen_s = record.finished_s
-        self._m_busy.inc(busy, worker=info.id)
-
-    async def _worker(self, index: int) -> None:
-        loop = asyncio.get_running_loop()
-        info = self.register_worker(f"local-{index}", local=True)
-        while True:
-            _, _, record = await self._queue.get()
-            if record is None:  # shutdown sentinel
-                return
-            if record.state != QUEUED:  # cancelled while queued
-                continue
-            self._grant_batch([record], info)
-            try:
-                # Synchronous on purpose: a quick local-tier read plus
-                # a small tensor pack, and keeping it off a helper
-                # thread avoids racing the executor's worker fork.
-                segment = self._shared_segment_for(record.job)
-                call = functools.partial(
-                    execute_job,
-                    record.job,
-                    self.config.cache_dir,
-                    self.config.cache_remote,
-                    segment,
-                    checkpoint_every=self.config.checkpoint_every or None,
-                    checkpoint_dir=self._spool_dir,
-                    resume_text=record.resume_text,
-                    warm_text=record.warm_text,
-                )
-                result = await loop.run_in_executor(self._executor, call)
-            except PreemptedError as error:
-                # DELETE /jobs dropped the cancel flag; the search
-                # stopped at the next episode boundary with its final
-                # snapshot in hand.
-                self._finish_preempted(record, info, error.checkpoint)
-            except BrokenProcessPool:
-                # The pool worker died mid-job (SIGKILL, OOM).  Rebuild
-                # the pool, persist whatever the job last spooled, and
-                # requeue it to resume from that snapshot.
-                self._rebuild_executor()
-                self._recover_crashed(record, info)
-            except Exception as error:  # job failure — keep serving
-                self._finish_record(
-                    record, info, None, f"{type(error).__name__}: {error}"
-                )
-            else:
-                self._finish_record(record, info, result, None)
-
-    def _rebuild_executor(self) -> None:
-        """Replace a broken process pool (idempotent: several local
-        workers can observe the same crash; only the first swaps it)."""
-        if self._executor is not None and getattr(self._executor, "_broken", False):
-            self._executor.shutdown(wait=False)
-            self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
 
     def _persist_checkpoint(self, key: str, text: str) -> bool:
         """Land one encoded checkpoint in the store's checkpoint table.
@@ -1096,90 +978,17 @@ class CampaignService:
         self._m_checkpoints.inc()
         return True
 
-    def _clear_spool(self, key: str) -> None:
-        """Remove a job key's spool files (checkpoint, progress, and —
-        critically — any cancel flag, which would otherwise preempt the
-        key's next run on its first checkpoint)."""
-        if self._spool_dir is None:
-            return
-        for path in spool_paths(self._spool_dir, key):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def _spooled_checkpoint(self, record: JobRecord) -> str | None:
-        """The latest checkpoint a local pool job spooled, if any."""
-        if self._spool_dir is None:
-            return None
-        ckpt_path, _, _ = spool_paths(self._spool_dir, job_key(record.job))
-        try:
-            return ckpt_path.read_text()
-        except OSError:
-            return None
-
-    def _finish_preempted(
-        self, record: JobRecord, info: WorkerInfo | None, ckpt: dict | None
-    ) -> None:
-        """Terminal path of a locally preempted job: persist the final
-        snapshot (resubmitting with ``"resume": true`` continues from
-        it, bitwise-identical), release the lease, mark cancelled."""
-        key = job_key(record.job)
-        episode = None
-        if ckpt is not None:
-            self._persist_checkpoint(key, ckpt_mod.encode_checkpoint(ckpt))
-            episode = ckpt.get("episode")
-            record.progress = {
-                "episode": ckpt["episode"],
-                "best_ms": ckpt["best_ms"],
-            }
-        if record.lease_id is not None:
-            self.store.finish_lease(record.lease_id, LEASE_RELEASED)
-        self._end_job(
-            record,
-            CANCELLED,
-            error=(
-                f"preempted at episode {episode}"
-                if episode is not None
-                else "preempted"
-            ),
-        )
-        if info is not None:
-            self._account_busy(record, info)
-        self._m_preempted.inc()
-        self._clear_spool(key)
-
-    def _recover_crashed(self, record: JobRecord, info: WorkerInfo | None) -> None:
-        """Crash recovery for a local pool job whose process died.
-
-        The spool's last checkpoint (written atomically at an episode
-        boundary, so never torn) is persisted to the store and attached
-        to the record; :meth:`_release_job` then requeues it within the
-        usual retry budget, and the retry resumes from the snapshot
-        instead of restarting.
-        """
-        key = job_key(record.job)
-        spooled = self._spooled_checkpoint(record)
-        if spooled is not None and self._persist_checkpoint(key, spooled):
-            record.resume_text = spooled
-        if record.lease_id is not None:
-            self.store.finish_lease(record.lease_id, LEASE_RELEASED)
-        if info is not None:
-            info.last_seen_s = time.time()
-        self._release_job(record, "worker process died", worker=record.worker)
-
-    # -- fleet lease lifecycle -----------------------------------------------
+    # -- lease lifecycle -----------------------------------------------------
 
     def heartbeat(self, lease_id: str, body: dict | None = None) -> dict:
-        """Extend a fleet lease's deadline by one TTL.
+        """Extend a lease's deadline by one TTL.
 
         Raises :class:`LeaseExpiredError` (HTTP 409) when the lease is
         no longer active — including the deadline having passed before
         the reaper noticed: :meth:`ResultStore.heartbeat_lease` flips
         such a lease to ``expired`` itself, so the 409 is deterministic
         regardless of reaper timing.  The 409 is also how a *revoked*
-        lease (``DELETE`` on a fleet-leased job) tells its worker to
-        stop.
+        lease (``DELETE`` on a running job) tells its worker to stop.
 
         An optional body ``{"checkpoints": {job_id: text}}`` carries
         each job's latest encoded anytime checkpoint; every one owned
@@ -1228,7 +1037,7 @@ class CampaignService:
                 }
 
     def finish_remote_batch(self, lease_id: str, body) -> tuple[int, dict]:
-        """Apply a fleet worker's ``POST /leases/{id}/results``.
+        """Apply a worker's ``POST /leases/{id}/results``.
 
         The only way a lease's results come back; a one-job lease is a
         batch of one.  ``body["results"]`` lists one entry per executed
@@ -1317,7 +1126,7 @@ class CampaignService:
                 # A worker-*reported* error is a job failure (the job
                 # ran and raised), not a worker crash — terminal, no
                 # retry: searches are deterministic.
-                self._finish_record(record, info, None, str(error), persist=False)
+                self._finish_record(record, info, None, str(error))
                 statuses.append({"job_id": jid, "status": "failed"})
                 delivered += 1
                 failures += 1
@@ -1359,14 +1168,15 @@ class CampaignService:
                     ]
                 )
             except Exception as exc:
-                # Served from memory, like a local job whose put fails.
+                # The computed results are still served from memory; a
+                # store failure must not leave the records `running`.
                 persist_note = (
                     f"result not persisted — {type(exc).__name__}: {exc}"
                 )
             else:
                 self._h_flush.observe(flush_s)
         for record, result in successes:
-            self._finish_record(record, info, result, None, persist=False)
+            self._finish_record(record, info, result, None)
             if persist_note is not None:
                 record.error = persist_note
             statuses.append({"job_id": record.id, "status": "done"})
@@ -1416,15 +1226,14 @@ class CampaignService:
             )
         else:
             # Crash recovery: a requeued job resumes from its latest
-            # persisted checkpoint (spooled locally or carried by a
-            # fleet heartbeat) instead of restarting from episode 0.
+            # heartbeat-carried checkpoint instead of restarting from
+            # episode 0.
             stored_ckpt = self.store.get_checkpoint(job_key(record.job))
             if stored_ckpt is not None:
                 record.resume_text = stored_ckpt.text
             record.state = QUEUED
             record.started_s = None
-            self._pending += 1
-            self._queue.put_nowait((record.priority, next(self._order), record))
+            self._enqueue(record)
             self._m_requeued.inc()
 
     def _requeue_expired(self, lease) -> None:
@@ -1448,77 +1257,147 @@ class CampaignService:
                 continue  # already finished under this or another lease
             self._release_job(record, "lease expired", worker=lease.worker)
 
-    def _flush_store(self) -> None:
-        """Flush the store's group-commit buffer, feeding the
-        flush-latency histogram (no-op when the buffer is empty)."""
-        if self.store.pending:
-            rows, elapsed = self.store.flush_timed()
-            if rows:
-                self._h_flush.observe(elapsed)
-
     async def _reap_leases(self) -> None:
-        """Periodically expire overdue leases and requeue their jobs.
-
-        Also the group-commit heartbeat: each sweep flushes buffered
-        result rows, bounding how long an acknowledged result can sit
-        unpersisted at ``lease_check_s``.
-        """
+        """Periodically expire overdue leases and requeue their jobs,
+        and replace local worker processes that exited."""
         while True:
             await asyncio.sleep(self.config.lease_check_s)
             for lease in self.store.expire_due_leases():
                 self._requeue_expired(lease)
-            self._flush_store()
+            self._reap_local_workers()
             # Checkpoint retention: drop snapshots nothing refreshed
             # for checkpoint_ttl_s (their jobs went terminal on some
             # path that could not delete them, or were never resumed).
             self.store.gc_checkpoints(self.config.checkpoint_ttl_s)
 
-    def _shared_segment_for(self, job: CampaignJob) -> str | None:
-        """Name of the shared pricing-table segment for a job's LUT key,
-        exporting it from the local cache tier on first use.
+    # -- local workers -------------------------------------------------------
 
-        Only locally cached LUTs are exported (a miss means the worker
-        is about to profile — its write-through makes the *next* job
-        with this key shareable), and export failures degrade to
-        ``None``: the worker then builds a private engine, bitwise the
-        same prices.
+    def _spawn_local_worker(self, index: int) -> None:
+        """Register local worker slot ``index`` and fork its process."""
+        info = self.register_worker(f"local-{index}", local=True)
+        process = multiprocessing.get_context("fork").Process(
+            target=self._local_worker_main,
+            args=(info.id,),
+            name=info.id,
+            daemon=True,
+        )
+        process.start()
+        self._local[info.id] = (index, process)
+
+    def _local_worker_main(self, worker_id: str) -> None:
+        """Body of a forked local worker: the fleet loop over loopback.
+
+        The child first closes its copies of the listening socket and
+        of every client connection, so it never holds a client's
+        connection or the port open, and leaves the parent's signal
+        wiring: SIGINT is the service's to handle (it drains, then
+        stops its workers with SIGTERM).
         """
-        if self._lut_tier is None or self._executor is None:
-            return None
-        key = LutKey.from_job(job)
-        shared = self._shared_tables.get(key)
-        if shared is not None:
-            return shared.name
-        try:
-            text = self._lut_tier.get(key)
-            if text is None:
-                return None
-            lut = validate_entry(text, key)
-            shared = SharedCostTables.create(lut.engine())
-        except (LutCacheError, OSError, ValueError):
-            return None
-        self._shared_tables[key] = shared
-        return shared.name
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        host = self._server.sockets[0].getsockname()[0]
+        host = {"0.0.0.0": "127.0.0.1", "::": "::1"}.get(host, host)
+        if ":" in host:
+            host = f"[{host}]"
+        sockets = list(self._server.sockets) + [
+            writer.get_extra_info("socket") for writer in self._connections
+        ]
+        for sock in sockets:
+            if sock is not None and sock.fileno() >= 0:
+                os.close(sock.fileno())
+        worker = FleetWorker(
+            WorkerConfig(
+                server=f"http://{host}:{self.port}",
+                cache_dir=self.config.cache_dir,
+                cache_remote=self.config.cache_remote,
+            )
+        )
+        worker.worker_id = worker_id
+        worker.heartbeat_s = self.config.lease_ttl_s / 3.0
+        worker.run()
+
+    def _reap_local_workers(self) -> None:
+        """Expire the leases of every local worker process that exited
+        and, unless the service is shutting down, fork a replacement
+        into its slot."""
+        for worker_id, (index, process) in list(self._local.items()):
+            if process.is_alive():
+                continue
+            process.join()
+            process.close()
+            del self._local[worker_id]
+            self._expire_worker_leases(worker_id)
+            if not self._closing:
+                self._spawn_local_worker(index)
+
+    def _expire_worker_leases(self, worker_id: str) -> None:
+        """Expire every active lease of a worker that will never
+        heartbeat or deliver again, requeueing its jobs through
+        :meth:`_requeue_expired` (retry budget included)."""
+        for lease in self.store.active_leases():
+            if lease.worker == worker_id:
+                expired = self.store.finish_lease(lease.lease_id, LEASE_EXPIRED)
+                if expired is not None:
+                    self._requeue_expired(expired)
+
+    async def _stop_local_workers(self) -> None:
+        """SIGTERM every local worker process and reap it (SIGKILL past
+        ``HANDLER_EXIT_TIMEOUT_S``)."""
+        processes = [process for _, process in self._local.values()]
+        self._local.clear()
+        for process in processes:
+            process.terminate()
+        deadline = time.monotonic() + HANDLER_EXIT_TIMEOUT_S
+        while any(p.is_alive() for p in processes) and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        for process in processes:
+            process.kill()
+            process.join()
+            process.close()
+
+    # -- long-poll leasing ---------------------------------------------------
+
+    def _wake_lease_waiters(self, count: float = math.inf) -> None:
+        """Wake up to ``count`` parked lease polls: one per queued job,
+        every one when the service shuts down."""
+        for waiter in self._lease_waiters:
+            if count <= 0:
+                return
+            if not waiter.done():
+                waiter.set_result(None)
+                count -= 1
+
+    async def _await_lease(
+        self, worker_id: str, max_jobs: int, wait_s: float, gone
+    ) -> list[JobRecord]:
+        """Hold an empty lease poll until a job is queued (or requeued),
+        ``wait_s`` runs out or shutdown begins, leasing again on each
+        wake.  ``gone()`` says the client hung up: it is leased nothing,
+        so no grant is lost on a dead connection, and its wake passes on
+        to the next parked poll."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + wait_s
+        while not self._closing:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
+            waiter = loop.create_future()
+            self._lease_waiters.add(waiter)
+            try:
+                await asyncio.wait((waiter,), timeout=remaining)
+            finally:
+                self._lease_waiters.discard(waiter)
+            if gone():
+                if self._pending:
+                    self._wake_lease_waiters(1)
+                break
+            records = self.lease_batch(worker_id, max_jobs)
+            if records:
+                return records
+        return []
 
     # -- progress streaming --------------------------------------------------
-
-    def _job_progress(self, record: JobRecord) -> dict | None:
-        """Latest in-flight ``{"episode", "best_ms"}`` of a running job:
-        the newest fleet-heartbeat-carried value, or the local pool's
-        spool progress sidecar (a tiny atomic JSON file)."""
-        if record.progress is not None:
-            return record.progress
-        if self._spool_dir is None or record.state != RUNNING:
-            return None
-        _, progress_path, _ = spool_paths(self._spool_dir, job_key(record.job))
-        try:
-            data = json.loads(progress_path.read_text())
-            return {
-                "episode": int(data["episode"]),
-                "best_ms": float(data["best_ms"]),
-            }
-        except (OSError, ValueError, TypeError, KeyError):
-            return None
 
     async def progress_events(self, record: JobRecord):
         """Async iterator of progress events for one job.
@@ -1533,7 +1412,7 @@ class CampaignService:
         yield "status", {"id": record.id, "state": record.state}
         last_episode = -1
         while not record.finished:
-            progress = self._job_progress(record)
+            progress = record.progress
             if progress is not None and progress["episode"] > last_episode:
                 last_episode = progress["episode"]
                 yield "progress", {"id": record.id, **progress}
@@ -1562,23 +1441,17 @@ class CampaignService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the HTTP server and spawn the worker pool."""
+        """Bind the HTTP server, then fork the local workers."""
         # A crashed predecessor sharing this store may have left
         # active lease rows behind; nobody will ever heartbeat them.
         self.store.release_active_leases()
-        if self.config.workers > 0:
-            self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
-            if self.config.checkpoint_every > 0:
-                self._spool_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
-            self._workers = [
-                asyncio.create_task(self._worker(index))
-                for index in range(self.config.workers)
-            ]
-        self._reaper = asyncio.create_task(self._reap_leases())
         self._server = await asyncio.start_server(
             self._handle_client, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        for index in range(self.config.workers):
+            self._spawn_local_worker(index)
+        self._reaper = asyncio.create_task(self._reap_leases())
 
     def _spawn_shutdown(self) -> asyncio.Task:
         """Start :meth:`shutdown` as a task the service itself keeps
@@ -1597,42 +1470,35 @@ class CampaignService:
 
     async def shutdown(self) -> None:
         """Graceful shutdown: refuse intake, cancel queued jobs, drain
-        outstanding fleet leases, wait for in-flight local jobs to
-        finish, then release every resource.
+        outstanding leases, stop the local workers, then release every
+        resource.
 
-        The HTTP server stays open through the lease drain — fleet
-        workers deliver results over *new* connections, so closing the
+        The HTTP server stays open through the lease drain — workers
+        deliver results over *new* connections, so closing the
         listener first would discard work that is seconds from done.
         """
         if self._closing:
             await self._closed.wait()
             return
         self._closing = True
+        self._wake_lease_waiters()
         for record in list(self.records.values()):
             if record.state == QUEUED:
                 self._mark_cancelled(record)
-        # Drain fleet leases: give outstanding remote jobs up to
-        # drain_timeout_s to POST their results (expiries during the
-        # drain cancel their jobs via _requeue_expired's closing path).
+        # Drain leases, local and remote alike: give outstanding jobs
+        # up to drain_timeout_s to POST their results (expiries and
+        # exited local workers during the drain cancel their jobs via
+        # _requeue_expired's closing path).
         deadline = time.monotonic() + self.config.drain_timeout_s
-
-        def _remote_leases():
-            return [
-                lease
-                for lease in self.store.active_leases()
-                if not self.workers_info.get(
-                    lease.worker, WorkerInfo(id="?", name="?")
-                ).local
-            ]
-
-        while _remote_leases() and time.monotonic() < deadline:
+        while self.store.active_leases() and time.monotonic() < deadline:
             for lease in self.store.expire_due_leases():
                 self._requeue_expired(lease)
+            self._reap_local_workers()
             await asyncio.sleep(0.05)
         # Past the drain window: release what is left and cancel the
         # jobs (requeueing would be a lie — workers lease nothing once
         # _closing is set).
-        for lease in _remote_leases():
+        for lease in self.store.active_leases():
             self.store.finish_lease(lease.lease_id, LEASE_RELEASED)
             for jid in lease.job_ids:
                 record = self.records.get(jid)
@@ -1642,12 +1508,7 @@ class CampaignService:
                     and record.lease_id == lease.lease_id
                 ):
                     self._end_job(record, CANCELLED, error="lease released at shutdown")
-        for _ in self._workers:
-            # Sentinels sort behind every real priority, so a worker
-            # only exits once the queue holds nothing runnable.
-            self._queue.put_nowait((float("inf"), next(self._order), None))
-        if self._workers:
-            await asyncio.gather(*self._workers)
+        await self._stop_local_workers()
         if self._reaper is not None:
             self._reaper.cancel()
             try:
@@ -1656,18 +1517,6 @@ class CampaignService:
                 pass
         if self._server is not None:
             self._server.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        if self._spool_dir is not None:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
-            self._spool_dir = None
-        # The worker pool is drained and gone: release every shared
-        # pricing-table segment (close + unlink) so a service lifetime
-        # leaves /dev/shm exactly as it found it.
-        for shared in self._shared_tables.values():
-            shared.close()
-            shared.unlink()
-        self._shared_tables.clear()
         # Sever lingering client connections (idle keep-alives, open
         # progress streams — every job is terminal by now).  Without
         # this, wait_closed() on Python >= 3.12.1 blocks until every
@@ -1682,12 +1531,6 @@ class CampaignService:
         # (bounded), so none is left pending when the loop stops.
         if handlers:
             await asyncio.wait(handlers, timeout=HANDLER_EXIT_TIMEOUT_S)
-        # Lease-table hygiene: nothing is running any more, so any row
-        # still `active` (e.g. local leases when a worker task was
-        # killed mid-await) must not look live to the next process
-        # sharing this store file.
-        self.store.release_active_leases()
-        self._flush_store()
         self.store.close()
         self._closed.set()
 
@@ -1731,7 +1574,7 @@ class CampaignService:
                 )
                 writer.keep_alive = keep_alive  # read by _respond*
                 reusable = await self._route(
-                    writer, method, path, query, headers, body
+                    reader, writer, method, path, query, headers, body
                 )
                 if not (keep_alive and reusable):
                     return
@@ -1756,7 +1599,7 @@ class CampaignService:
                 pass
 
     async def _route(
-        self, writer, method: str, path: str, query, headers, body
+        self, reader, writer, method: str, path: str, query, headers, body
     ) -> bool:
         """Dispatch one request; returns whether the connection may be
         reused for another (False after SSE streams and shutdown)."""
@@ -1859,43 +1702,7 @@ class CampaignService:
                     },
                 )
             elif method == "POST" and parts == ["leases"]:
-                if not isinstance(body, dict) or "worker" not in body:
-                    raise ConfigError(
-                        "POST /leases needs a JSON body with a 'worker' id"
-                    )
-                raw_max = body.get("max_jobs", 1)
-                if isinstance(raw_max, bool) or not isinstance(raw_max, int):
-                    raise ConfigError("max_jobs must be an integer >= 1")
-                if raw_max < 1:
-                    raise ConfigError(f"max_jobs must be >= 1, got {raw_max}")
-                max_jobs = min(raw_max, self.config.lease_batch_limit)
-                records = self.lease_batch(str(body["worker"]), max_jobs)
-                if not records:
-                    await _respond_empty(writer, 204)
-                else:
-                    lease = self.store.get_lease(records[0].lease_id)
-                    grant = {
-                        "lease": lease.to_dict(),
-                        "jobs": [r.to_dict() for r in records],
-                        "lease_ttl_s": self.config.lease_ttl_s,
-                    }
-                    if self.config.checkpoint_every > 0:
-                        grant["checkpoint_every"] = self.config.checkpoint_every
-                    resume = {
-                        r.id: r.resume_text
-                        for r in records
-                        if r.resume_text is not None
-                    }
-                    if resume:
-                        grant["resume"] = resume
-                    warm = {
-                        r.id: r.warm_text
-                        for r in records
-                        if r.warm_text is not None
-                    }
-                    if warm:
-                        grant["warm"] = warm
-                    await _respond(writer, 200, grant)
+                await self._post_leases(reader, writer, body)
             elif (
                 method == "POST"
                 and len(parts) == 3
@@ -1945,6 +1752,58 @@ class CampaignService:
             # still answer 400, not drop the connection.
             await _respond(writer, 400, {"error": str(error)})
         return True
+
+    async def _post_leases(self, reader, writer, body) -> None:
+        """``POST /leases``: grant a batch, long-polling when asked.
+
+        An empty queue answers 204 — after holding the request up to
+        ``wait_s`` seconds for a job to arrive — and a draining service
+        answers 503, so a polling worker backs off instead of spinning.
+        """
+        if not isinstance(body, dict) or "worker" not in body:
+            raise ConfigError("POST /leases needs a JSON body with a 'worker' id")
+        raw_max = body.get("max_jobs", 1)
+        if isinstance(raw_max, bool) or not isinstance(raw_max, int):
+            raise ConfigError("max_jobs must be an integer >= 1")
+        if raw_max < 1:
+            raise ConfigError(f"max_jobs must be >= 1, got {raw_max}")
+        wait_s = body.get("wait_s", 0)
+        if (
+            isinstance(wait_s, bool)
+            or not isinstance(wait_s, (int, float))
+            or not 0 <= wait_s < math.inf
+        ):
+            raise ConfigError(f"wait_s must be a number >= 0, got {wait_s!r}")
+        worker_id = str(body["worker"])
+        max_jobs = min(raw_max, self.config.lease_batch_limit)
+        records = self.lease_batch(worker_id, max_jobs)
+        if not records and wait_s > 0:
+            records = await self._await_lease(
+                worker_id,
+                max_jobs,
+                wait_s,
+                gone=lambda: reader.at_eof() or writer.is_closing(),
+            )
+        if not records:
+            if self._closing:
+                raise ServiceError("service is shutting down; no new leases")
+            await _respond_empty(writer, 204)
+            return
+        lease = self.store.get_lease(records[0].lease_id)
+        grant = {
+            "lease": lease.to_dict(),
+            "jobs": [r.to_dict() for r in records],
+            "lease_ttl_s": self.config.lease_ttl_s,
+        }
+        if self.config.checkpoint_every > 0:
+            grant["checkpoint_every"] = self.config.checkpoint_every
+        resume = {r.id: r.resume_text for r in records if r.resume_text is not None}
+        if resume:
+            grant["resume"] = resume
+        warm = {r.id: r.warm_text for r in records if r.warm_text is not None}
+        if warm:
+            grant["warm"] = warm
+        await _respond(writer, 200, grant)
 
     def _body_limit(self, method: str, path: str) -> int:
         """Maximum request body accepted on this route.
@@ -2293,7 +2152,7 @@ async def _respond(
     writer, status: int, payload: dict, headers: dict | None = None
 ) -> None:
     """Write one JSON response and flush."""
-    body = json.dumps(payload, indent=2).encode() + b"\n"
+    body = json.dumps(payload).encode() + b"\n"
     text = _STATUS_TEXT.get(status, "OK")
     head = [
         f"HTTP/1.1 {status} {text}",

@@ -9,16 +9,17 @@ service never dials out, so workers behind NAT just work):
    interval.
 2. **Lease** — ``POST /leases`` claims up to ``--lease-batch`` queued
    jobs (default 1) under ONE lease id, deadline and heartbeat,
-   highest priority first; 204 means "nothing to do, poll again"
-   (idle polls back off exponentially with jitter, capped at the
-   configured interval, so a drained fleet does not hammer the
-   service).
+   highest priority first.  Every poll is a *long-poll*: the service
+   holds an empty request for up to ``--poll`` seconds and answers the
+   moment a job is queued, so an idle worker adds no latency and sends
+   no more than one request per window; 204 means the window passed
+   with nothing to do.
 3. **Heartbeat** — while the jobs execute (in this process, via
-   :func:`~repro.runtime.campaign.execute_job` — the exact function
-   the service's local pool runs), a daemon thread beats
-   ``POST /leases/{id}/heartbeat`` every TTL/3 seconds.  A 409 tells
-   the worker it lost the lease (the service requeued the jobs) and
-   the results must be discarded.
+   :func:`~repro.runtime.campaign.execute_job`), a daemon thread beats
+   ``POST /leases/{id}/heartbeat`` every TTL/3 seconds, carrying the
+   jobs' latest anytime checkpoints.  A 409 tells the worker it lost
+   the lease (the service requeued the jobs, or revoked the lease to
+   preempt one) and the results must be discarded.
 4. **Results** — one ``POST /leases/{id}/results`` delivers every
    encoded outcome of the lease (a one-job lease is a batch of one).
    Encoding goes through :func:`~repro.runtime.store.encode_payload` —
@@ -26,6 +27,10 @@ service never dials out, so workers behind NAT just work):
    result lands in the store bitwise-identical to local execution
    (shortest-repr floats round-trip exactly).  A delivery that fails
    in transit is kept and re-sent before the next lease.
+
+``repro serve --workers N`` runs this same loop: the service forks N
+processes that lease from it over loopback, so local and remote jobs
+share one preemption, progress and crash-recovery path.
 
 Worker-side job failures are *reported*, not retried: the job raised,
 so it would raise anywhere (searches are deterministic).  Crashes and
@@ -43,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -78,8 +82,9 @@ class WorkerConfig:
     cache_dir: str | None = None
     #: Remote LUT shard server(s) chained behind the local tier.
     cache_remote: str | None = None
-    #: Maximum seconds between lease polls while the queue is empty
-    #: (idle polls back off exponentially with jitter up to this cap).
+    #: Long-poll window: seconds the service may hold an empty lease
+    #: request before answering 204 (a queued job answers it at once).
+    #: Also the pause after a failed service round-trip.
     poll_s: float = 0.5
     #: Stop after this many executed jobs (0 = run until the service
     #: goes away).
@@ -179,33 +184,10 @@ class _Heartbeat(threading.Thread):
         return True
 
     def stop(self) -> None:
+        """Stop beating, without waiting for the thread: a beat already
+        in flight lands like any other, and a 409 it meets only marks a
+        lease whose results the service decides on anyway."""
         self._halt.set()
-        self.join(timeout=self.interval_s + 5.0)
-
-
-def idle_backoff(
-    poll_s: float, consecutive_empty: int, rng: random.Random | None = None
-) -> float:
-    """Sleep before the next lease poll after N consecutive empty ones.
-
-    Jittered exponential backoff: starts at an eighth of the
-    configured poll interval, doubles per empty poll, and caps at the
-    interval itself — a worker re-engages a refilling queue quickly
-    but a drained fleet converges to one poll per ``poll_s`` per
-    worker.  The 0.5–1.0x jitter desynchronises workers that went
-    idle together, so their polls don't arrive as a thundering herd.
-    """
-    if consecutive_empty <= 0:
-        return 0.0
-    if consecutive_empty >= 4:
-        # The doubling reaches poll_s on the fourth empty poll; clamp
-        # the exponent rather than computing it — 2**(n-1) overflows a
-        # float once a long-idle worker's counter passes ~1024.
-        base = poll_s
-    else:
-        base = (poll_s / 8.0) * (2.0 ** (consecutive_empty - 1))
-    uniform = rng.uniform if rng is not None else random.uniform
-    return base * uniform(0.5, 1.0)
 
 
 def encode_outcome(result) -> dict:
@@ -239,7 +221,10 @@ class FleetWorker:
         log: Callable[[str], None] | None = None,
     ) -> None:
         self.config = config
-        self.client = client or ServiceClient(config.server)
+        # A parked lease poll holds the connection for up to poll_s.
+        self.client = client or ServiceClient(
+            config.server, timeout=60.0 + config.poll_s
+        )
         self.log = log or (lambda line: None)
         self.stats = WorkerStats()
         self.worker_id: str | None = None
@@ -272,14 +257,17 @@ class FleetWorker:
 
     def run_one(self) -> bool:
         """Re-send an undelivered batch, or else lease, execute and
-        deliver one batch; False when the queue was empty."""
+        deliver one batch; False when the queue stayed empty for the
+        whole long-poll window."""
         assert self.worker_id is not None, "register() first"
         if self._pending is not None:
             lease_id = self._pending[0]
             outcome = "re-delivered" if self._deliver() else "lost"
             self.log(f"worker {self.worker_id} {outcome} {lease_id}")
             return True
-        grant = self.client.lease(self.worker_id, max_jobs=self._batch_size())
+        grant = self.client.lease(
+            self.worker_id, max_jobs=self._batch_size(), wait_s=self.config.poll_s
+        )
         self.stats.polls += 1
         if grant is None:
             return False
@@ -388,17 +376,17 @@ class FleetWorker:
         and deliver until the service goes away or ``max_jobs`` is
         reached; returns the stats.
 
-        A service error or transport failure anywhere in one lease →
-        execute → deliver step (a restart, or a shutdown that outlasts
-        its drain window) is retried after ``poll_s``; the fifth in a
-        row ends the loop, counting a still-pending batch in
-        ``undelivered``.
+        An empty poll loops straight back: the long-poll already
+        waited.  A service error or transport failure anywhere in one
+        lease → execute → deliver step (a restart, or a draining
+        service refusing new leases) is retried after ``poll_s``; the
+        fifth in a row ends the loop, counting a still-pending batch
+        in ``undelivered``.
         """
         errors = 0
-        idle = 0
         while True:
             try:
-                worked = self.run_one()
+                self.run_one()
             except (ServiceError, OSError):
                 errors += 1
                 if errors >= MAX_CONSECUTIVE_ERRORS:
@@ -412,11 +400,6 @@ class FleetWorker:
             errors = 0
             if self.config.max_jobs and self._jobs_done() >= self.config.max_jobs:
                 return self.stats
-            if worked:
-                idle = 0
-            else:
-                idle += 1
-                time.sleep(idle_backoff(self.config.poll_s, idle))
 
 
 def run_worker(config: WorkerConfig) -> int:

@@ -5,10 +5,11 @@ thread, stdlib client), mirroring the harnesses in
 ``test_runtime_service.py`` / ``test_runtime_fleet.py``.  Covered
 here: SSE ``progress`` events arriving while the job is still
 *running* (not the post-hoc curve replay), ``DELETE`` preempting a
-running local-pool job into a persisted checkpoint, lease revocation
-preempting a fleet job (sibling batch jobs requeued, the worker's next
-heartbeat answering 409), and ``"resume": true`` resubmission
-finishing bitwise-identical to an uninterrupted run.
+running local-worker job by revoking its lease (its latest
+heartbeat-carried checkpoint kept), lease revocation preempting a
+fleet job (sibling batch jobs requeued, the worker's next heartbeat
+answering 409), and ``"resume": true`` resubmission finishing
+bitwise-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from repro.runtime.worker import FleetWorker, WorkerConfig
 #: job is reliably mid-flight when the test preempts or kills it.
 LONG = 20_000
 EVERY = 100
+#: Lease TTL of the tests that watch a local job mid-flight: workers
+#: beat every third of it, and each beat carries the job's latest
+#: checkpoint (its live progress and its preemption snapshot).
+BEAT_TTL_S = 1.5
 
 
 class LiveAnytime:
@@ -122,7 +127,7 @@ class TestLiveProgress:
         """Satellite contract: at least one SSE ``progress`` event is
         delivered while the job is still *running* — progress is live
         from in-loop checkpoints, not replayed after the fact."""
-        with LiveAnytime() as live:
+        with LiveAnytime(lease_ttl_s=BEAT_TTL_S) as live:
             record = live.client.submit(_long_body())[0]
             first = None
             for event, data in live.client.stream_progress(record["id"]):
@@ -140,7 +145,7 @@ class TestLiveProgress:
             assert final["state"] == "done"
 
     def test_full_stream_interleaves_progress_with_status(self):
-        with LiveAnytime() as live:
+        with LiveAnytime(lease_ttl_s=BEAT_TTL_S) as live:
             record = live.client.submit(_long_body())[0]
             events = list(live.client.stream_progress(record["id"]))
         kinds = [event for event, _ in events]
@@ -155,22 +160,21 @@ class TestLiveProgress:
 
 
 def _preempt_then_resume(**kind) -> dict:
-    """DELETE a running local-pool job mid-flight, resubmit it with
+    """DELETE a running local-worker job mid-flight, resubmit it with
     ``"resume": true`` and return the finished record."""
-    with LiveAnytime() as live:
+    with LiveAnytime(lease_ttl_s=BEAT_TTL_S) as live:
         record = live.client.submit(_long_body(**kind))[0]
-        # Wait for the first in-flight checkpoint, proving the
-        # spool holds a snapshot to preempt into.
+        # Wait for the first in-flight checkpoint, proving a heartbeat
+        # carried a snapshot into the store to preempt into.
         for event, _ in live.client.stream_progress(record["id"]):
             if event == "progress":
                 break
         status, body = live.raw("DELETE", f"/jobs/{record['id']}")
         assert status == 202
         assert body["preempting"] is True
-        assert body["state"] == "running"  # lands cancelled async
-        cancelled = live.wait_state(record["id"], "cancelled")
-        assert "preempted at episode" in cancelled["error"]
-        key = job_key(CampaignJob(**cancelled["job"]))
+        assert body["state"] == "cancelled"  # the lease is revoked at once
+        assert "lease revoked" in body["error"]
+        key = job_key(CampaignJob(**body["job"]))
         stored = live.service.store.get_checkpoint(key)
         assert stored is not None
         assert 0 < stored.episode < LONG
@@ -241,19 +245,29 @@ class TestPreemptResume:
             assert status == 400
             assert "resume" in body["error"]
 
-    def test_delete_running_without_checkpointing_conflicts(self):
-        """With checkpointing disabled there is nothing to preempt
-        into: DELETE on a running job keeps answering 409."""
+    def test_delete_running_without_checkpointing_revokes_the_lease(self):
+        """With checkpointing disabled there is no snapshot to preempt
+        into: DELETE on a running job still revokes its lease (202,
+        cancelled at once, nothing stored), the worker's late delivery
+        is refused, and the worker goes on to serve the next job."""
         with LiveAnytime(checkpoint_every=0) as live:
             record = live.client.submit(_long_body(episodes=8000))[0]
-            deadline = time.monotonic() + 30
-            while live.client.job(record["id"])["state"] == "queued":
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
+            live.wait_state(record["id"], "running", timeout=30)
+            status, body = live.raw("DELETE", f"/jobs/{record['id']}")
+            assert status == 202
+            assert body["state"] == "cancelled"
+            assert "lease revoked" in body["error"]
+            key = job_key(CampaignJob(**body["job"]))
+            assert live.service.store.get_checkpoint(key) is None
             status, body = live.raw("DELETE", f"/jobs/{record['id']}")
             assert status == 409
             assert "only queued jobs" in body["error"]
-            assert live.client.wait(record["id"], timeout=120)["state"] == "done"
+            after = live.client.submit(_long_body(episodes=150, seed=3))[0]
+            assert live.client.wait(after["id"], timeout=120)["state"] == "done"
+            # The revoked run's delivery was refused: the job stays
+            # cancelled and its result never reached the store.
+            assert live.client.job(record["id"])["state"] == "cancelled"
+            assert live.service.store.get(CampaignJob(**record["job"])) is None
 
 
 class TestFleetLeaseRevocation:

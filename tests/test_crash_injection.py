@@ -3,16 +3,17 @@
 The anytime subsystem's strongest claim is that an *uncooperative*
 death — a worker process SIGKILLed partway through a search, no
 exception handler, no flush — loses at most ``checkpoint_every``
-episodes of work and none of the answer's exactness.  Both execution
-paths are killed here at a randomized point mid-run:
+episodes of work and none of the answer's exactness.  Both kinds of
+worker are killed here at a randomized point mid-run, after a lease
+heartbeat has carried a checkpoint into the store:
 
-* the **local pool** — a ``ProcessPoolExecutor`` worker is SIGKILLed;
-  the service survives the resulting ``BrokenProcessPool``, rebuilds
-  the pool, persists the job's spooled checkpoint and requeues it with
-  resume state attached;
+* a **local worker** — a process the service forked itself is
+  SIGKILLed; the reaper sees it exit, expires its lease at once (well
+  before the TTL), forks a replacement, and the job requeues with the
+  carried checkpoint attached;
 * a **fleet worker** — a real ``repro work`` subprocess is SIGKILLed;
-  its lease expires, and the job requeues carrying the newest
-  heartbeat-delivered checkpoint for the next worker.
+  its lease expires after the TTL, and the job requeues carrying the
+  newest heartbeat-delivered checkpoint for the next worker.
 
 In both cases the finished job must be bitwise-identical to an
 uninterrupted run, and completion must leave no orphan state behind
@@ -30,7 +31,7 @@ import time
 
 from repro.core.config import SearchConfig
 from repro.core.search import QSDNNSearch
-from repro.runtime.campaign import CampaignJob, load_or_profile_lut, spool_paths
+from repro.runtime.campaign import CampaignJob, load_or_profile_lut
 from repro.runtime.metrics import parse_samples
 from repro.runtime.store import job_key
 from repro.runtime.worker import FleetWorker, WorkerConfig
@@ -78,39 +79,55 @@ def _long_body(**overrides):
     return body
 
 
-class TestPoolWorkerCrash:
-    def test_sigkilled_pool_worker_resumes_bitwise(self):
+class TestLocalWorkerCrash:
+    def test_sigkilled_local_worker_resumes_bitwise(self):
         rng = random.Random(_SEED)
         shm_before = _shm_entries()
-        with LiveAnytime(workers=1) as live:
+        with LiveAnytime(
+            workers=1, lease_ttl_s=1.5, lease_check_s=0.1
+        ) as live:
+            (victim,) = live.service._local
+            _, process = live.service._local[victim]
             record = live.client.submit(_long_body())[0]
             key = _long_key()
-            # Wait for the first spooled checkpoint, then keep running
-            # a random little longer — the kill lands mid-episode at an
-            # arbitrary offset past a known-recoverable boundary.
-            _, progress_path, _ = spool_paths(live.service._spool_dir, key)
+            # Wait until a heartbeat has carried a checkpoint into the
+            # store, then keep running a random little longer — the
+            # kill lands mid-episode at an arbitrary offset past a
+            # known-recoverable boundary.
             deadline = time.monotonic() + 30
-            while not progress_path.exists():
-                assert time.monotonic() < deadline, "no checkpoint spooled"
+            while live.service.store.get_checkpoint(key) is None:
+                assert time.monotonic() < deadline, "no checkpoint carried"
                 time.sleep(0.01)
             time.sleep(_kill_delay(rng))
-            pids = list(live.service._executor._processes)
-            assert pids, "pool worker not spawned"
-            os.kill(pids[0], signal.SIGKILL)
+            lease_id = live.client.job(record["id"])["lease_id"]
+            assert lease_id is not None, "job finished before the kill"
+            os.kill(process.pid, signal.SIGKILL)
 
-            # The service survives: the broken pool is rebuilt, the
-            # spooled checkpoint persisted, and the job requeued with
-            # resume state — same id, one more attempt, zero lost
-            # exactness.
+            # The reaper notices the exit within one sweep: the lease
+            # is expired before its deadline (not by the TTL), the job
+            # requeued with resume state, and a replacement registered
+            # into the slot picks it up — same id, one more attempt,
+            # zero lost exactness.
             final = live.client.wait(record["id"], timeout=120)
             assert final["state"] == "done"
+            assert final["attempts"] == 2
+            lease = live.service.store.get_lease(lease_id)
+            assert lease.state == "expired"
+            assert lease.finished_s < lease.deadline_s  # well before the TTL
+            locals_ = [
+                info
+                for info in live.client.workers()["workers"]
+                if info["name"] == "local-0"
+            ]
+            assert [info["id"] for info in locals_] == [victim, final["worker"]]
+            assert list(live.service._local) == [final["worker"]]
             samples = parse_samples(live.client.metrics())
             assert samples["repro_jobs_requeued_total"][()] == 1.0
             assert samples["repro_jobs_resumed_total"][()] == 1.0
             assert samples["repro_checkpoints_written_total"][()] >= 1.0
             # No orphan rows: completion deleted the checkpoint.
             assert live.service.store.count_checkpoints() == 0
-            # The rebuilt pool is live — a fresh job runs normally.
+            # The replacement is live — a fresh job runs normally.
             again = live.client.submit(_long_body(episodes=150, seed=5))[0]
             assert live.client.wait(again["id"], timeout=120)["state"] == "done"
         assert _shm_entries() <= shm_before  # no leaked segments

@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
+import signal
 import threading
 import time
 from dataclasses import asdict
@@ -54,7 +56,6 @@ from repro.runtime.worker import (
     WorkerConfig,
     _Heartbeat,
     encode_outcome,
-    idle_backoff,
     run_worker,
 )
 
@@ -697,6 +698,250 @@ class TestLeaseHttpConflicts:
             assert live.client.lease(grant["worker"]["id"]) is None
 
 
+def _timed(call) -> tuple[object, float]:
+    started = time.monotonic()
+    return call(), time.monotonic() - started
+
+
+class TestLongPollLeasing:
+    """``POST /leases {"wait_s": T}`` holds an empty poll until a job
+    is queued, T passes, or shutdown begins."""
+
+    def _park(self, live, worker_id: str, wait_s: float):
+        """Send one parked poll on a thread; returns (thread, outcome)."""
+        outcome = {}
+
+        def poll():
+            outcome["response"], outcome["elapsed_s"] = _timed(
+                lambda: live.raw(
+                    "POST", "/leases", {"worker": worker_id, "wait_s": wait_s}
+                )
+            )
+
+        thread = threading.Thread(target=poll, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    def _parked(self, live) -> None:
+        deadline = time.monotonic() + 10
+        while not live.service._lease_waiters:
+            assert time.monotonic() < deadline, "poll never parked"
+            time.sleep(0.005)
+
+    def test_parked_poll_is_granted_soon_after_a_submit(self):
+        with LiveFleet() as live:
+            worker_id = live.client.register_worker("parker")["worker"]["id"]
+            thread, outcome = self._park(live, worker_id, 5.0)
+            self._parked(live)
+            record = live.client.submit(_toy_body())[0]
+            submitted = time.monotonic()
+            thread.join(10)
+            granted_after_s = time.monotonic() - submitted
+            assert not thread.is_alive()
+            status, _, grant = outcome["response"]
+            assert status == 200
+            assert [job["id"] for job in grant["jobs"]] == [record["id"]]
+            assert granted_after_s < 1.0  # well before the 5 s wait ends
+            assert outcome["elapsed_s"] < 4.0
+            assert live.service._lease_waiters == set()
+
+    def test_empty_poll_answers_204_after_the_wait(self):
+        with LiveFleet() as live:
+            worker_id = live.client.register_worker("idler")["worker"]["id"]
+            (status, _, _), elapsed = _timed(
+                lambda: live.raw(
+                    "POST", "/leases", {"worker": worker_id, "wait_s": 0.4}
+                )
+            )
+            assert status == 204
+            assert 0.35 <= elapsed < 3.0
+            assert live.service._lease_waiters == set()
+
+    def test_shutdown_answers_a_parked_poll_at_once(self):
+        with LiveFleet() as live:
+            worker_id = live.client.register_worker("sleeper")["worker"]["id"]
+            thread, outcome = self._park(live, worker_id, 30.0)
+            self._parked(live)
+            live.client.shutdown()
+            thread.join(10)
+            assert not thread.is_alive()
+            status, _, body = outcome["response"]
+            assert status == 503  # draining: back off, do not re-poll
+            assert "shutting down" in body["error"]
+            assert outcome["elapsed_s"] < 10.0
+
+    @pytest.mark.parametrize("wait_s", ["soon", -1, -0.5, True, None, [1]])
+    def test_bad_wait_s_is_400(self, wait_s):
+        with LiveFleet() as live:
+            worker_id = live.client.register_worker("typo")["worker"]["id"]
+            status, _, body = live.raw(
+                "POST", "/leases", {"worker": worker_id, "wait_s": wait_s}
+            )
+            assert status == 400
+            assert "wait_s" in body["error"]
+            assert live.service._lease_waiters == set()
+
+    def test_fleet_worker_long_polls_with_its_poll_window(self):
+        with LiveFleet() as live:
+            worker = FleetWorker(
+                WorkerConfig(
+                    server=f"http://127.0.0.1:{live.service.port}", poll_s=0.3
+                )
+            )
+            worker.register()
+            worked, elapsed = _timed(worker.run_one)
+            assert worked is False
+            assert elapsed >= 0.25  # held by the service, not slept
+            assert worker.stats.polls == 1
+
+
+class _ExitedProcess:
+    """A local worker process stand-in that has already exited."""
+
+    def is_alive(self) -> bool:
+        return False
+
+    def join(self, timeout=None) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def _socket_inodes(pid: int) -> set[str]:
+    """``socket:[inode]`` links among a process's open descriptors."""
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if link.startswith("socket:"):
+            links.add(link)
+    return links
+
+
+def _server_side_sockets(service) -> set[str]:
+    """The listening socket and every accepted client connection."""
+    socks = list(service._server.sockets) + [
+        writer.get_extra_info("socket") for writer in service._connections
+    ]
+    return {f"socket:[{os.fstat(sock.fileno()).st_ino}]" for sock in socks}
+
+
+class TestLocalWorkers:
+    """``workers=N``: N forked fleet workers the service owns."""
+
+    def test_exited_worker_is_expired_requeued_and_replaced(self, monkeypatch):
+        service = _fleet_service()
+        local = service.register_worker("local-0", local=True)
+        service._local[local.id] = (0, _ExitedProcess())
+        record = service.submit(_toy_job())
+        (leased,) = service.lease_batch(local.id)
+        lease_id = leased.lease_id
+        spawned = []
+        monkeypatch.setattr(service, "_spawn_local_worker", spawned.append)
+        service._reap_local_workers()
+        assert service._local == {}
+        assert spawned == [0]  # the slot is refilled
+        assert service.store.get_lease(lease_id).state == LEASE_EXPIRED
+        assert record.state == "queued" and record.attempts == 1
+        assert local.expired == 1
+
+    def test_no_replacement_once_shutting_down(self, monkeypatch):
+        service = _fleet_service()
+        local = service.register_worker("local-0", local=True)
+        service._local[local.id] = (0, _ExitedProcess())
+        spawned = []
+        monkeypatch.setattr(service, "_spawn_local_worker", spawned.append)
+        service._closing = True
+        service._reap_local_workers()
+        assert spawned == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_forked_worker_holds_no_server_socket(self):
+        """A local worker (the first, and a replacement forked while a
+        client is connected) closes its copies of the listening socket
+        and of every accepted connection."""
+        with LiveFleet(workers=1, lease_check_s=0.05) as live:
+
+            def leaked(pid: int) -> set[str]:
+                deadline = time.monotonic() + 10
+                while True:
+                    shared = _socket_inodes(pid) & _server_side_sockets(live.service)
+                    if not shared or time.monotonic() > deadline:
+                        return shared
+                    time.sleep(0.01)
+
+            (first,) = live.service._local
+            first_pid = live.service._local[first][1].pid
+            assert leaked(first_pid) == set()
+            live.client.health()  # keeps one connection open on the service
+            os.kill(first_pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while first in live.service._local or not live.service._local:
+                assert time.monotonic() < deadline, "no replacement forked"
+                time.sleep(0.01)
+            (second,) = live.service._local
+            assert second != first
+            assert live.service.workers_info[second].name == "local-0"
+            assert leaked(live.service._local[second][1].pid) == set()
+
+    def test_local_worker_does_not_spin_while_the_service_drains(self):
+        with LiveFleet(workers=1, drain_timeout_s=1.0) as live:
+            (worker_id,) = live.service._local
+            pid = live.service._local[worker_id][1].pid
+            # An outstanding lease the drain waits out.
+            live.service.store.create_lease("lease-x", "job-x", "key-x", "w-x", 30.0)
+            polls = []
+            lease_batch = live.service.lease_batch
+
+            def counted(*args, **kwargs):
+                polls.append(args[0])
+                return lease_batch(*args, **kwargs)
+
+            live.service.lease_batch = counted
+            started = time.monotonic()
+            live.client.shutdown()
+            live.wait_closed()
+            assert time.monotonic() - started >= 0.9  # the drain ran
+            # One answered park plus a poll per backoff window, not a spin.
+            assert 1 <= len(polls) <= 10, len(polls)
+            assert live.service._local == {}
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+class TestJobsRunningGauge:
+    def test_gauge_equals_a_scan_of_the_records(self):
+        service = _fleet_service()
+        info = service.register_worker("host")
+
+        def check() -> float:
+            gauge = parse_samples(service.metrics.render())["repro_jobs_running"][()]
+            scan = sum(1 for r in service.records.values() if r.state == "running")
+            assert gauge == scan
+            return gauge
+
+        a, b, c = (service.submit(_toy_job(seed=seed)) for seed in range(3))
+        assert check() == 0
+        service.lease_batch(info.id, 2)
+        assert check() == 2
+        assert service.cancel(c.id)
+        assert check() == 2
+        for lease in service.store.expire_due_leases(now=FAR_FUTURE):
+            service._requeue_expired(lease)
+        assert a.state == b.state == "queued"
+        assert check() == 0
+        (leased,) = service.lease_batch(info.id)
+        assert check() == 1
+        entry = json.loads(json.dumps(encode_outcome(execute_job(leased.job))))
+        entry["job_id"] = leased.id
+        service.finish_remote_batch(leased.lease_id, {"results": [entry]})
+        assert leased.state == "done"
+        assert check() == 0
+
+
 class TestBatchLease:
     """Batched leasing: one lease id covering N jobs (sync mechanics)."""
 
@@ -895,49 +1140,6 @@ class TestBatchLease:
         assert metrics["repro_lease_batch_jobs_count"][()] == 1.0
 
 
-class TestIdleBackoff:
-    """Jittered exponential backoff for idle lease polls."""
-
-    def test_zero_before_any_empty_poll(self):
-        assert idle_backoff(0.5, 0) == 0.0
-        assert idle_backoff(0.5, -3) == 0.0
-
-    def test_doubles_then_caps_at_poll_interval(self):
-        rng = _FixedRng(1.0)  # jitter pinned to the upper bound
-        waits = [idle_backoff(0.8, n, rng=rng) for n in (1, 2, 3, 4, 9)]
-        assert waits == [0.1, 0.2, 0.4, 0.8, 0.8]
-
-    def test_jitter_stays_within_half_to_full_base(self):
-        for n in (1, 3, 7):
-            base = min(0.5, (0.5 / 8.0) * 2.0 ** (n - 1))
-            for _ in range(50):
-                wait = idle_backoff(0.5, n)
-                assert 0.5 * base <= wait <= base
-
-    def test_huge_idle_counter_does_not_overflow(self):
-        """Regression: 2**(n-1) raised OverflowError past ~1024 empty
-        polls, crashing a drained fleet worker within minutes."""
-        rng = _FixedRng(1.0)
-        assert idle_backoff(0.5, 5000, rng=rng) == 0.5
-
-    def test_injected_rng_is_deterministic(self):
-        import random
-
-        a = [idle_backoff(0.5, n, rng=random.Random(7)) for n in (1, 2, 3)]
-        b = [idle_backoff(0.5, n, rng=random.Random(7)) for n in (1, 2, 3)]
-        assert a == b
-
-
-class _FixedRng:
-    """A stand-in rng whose uniform() returns a pinned fraction."""
-
-    def __init__(self, fraction: float) -> None:
-        self.fraction = fraction
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.fraction
-
-
 class TestWorkerBatchSizing:
     def test_lease_batch_validated(self):
         with pytest.raises(ConfigError):
@@ -1084,7 +1286,7 @@ class _DeliveryFailsClient:
     def register_worker(self, name=None):
         return {"worker": {"id": "w1"}, "lease_ttl_s": 30.0, "heartbeat_s": 10.0}
 
-    def lease(self, worker_id, max_jobs=1):
+    def lease(self, worker_id, max_jobs=1, wait_s=0.0):
         self.leases += 1
         if self.leases > 1:
             raise ConnectionRefusedError("service gone")
@@ -1109,7 +1311,7 @@ class _FlakyDeliveryClient(_DeliveryFailsClient):
         self.then = then
         self.deliveries = []
 
-    def lease(self, worker_id, max_jobs=1):
+    def lease(self, worker_id, max_jobs=1, wait_s=0.0):
         self.leases += 1
         if self.leases > 1:
             raise ConnectionRefusedError("service gone")
@@ -1378,12 +1580,12 @@ def _worker_failure():
     return _delivered({"error": "ValueError: bad LUT"})
 
 
-def _local_preempt():
-    service = _fleet_service()
+def _local_worker_exited():
+    service = _fleet_service(max_lease_retries=1)
     local = service.register_worker("local-0", local=True)
     record = service.submit(_toy_job())
     service.lease_batch(local.id)
-    service._finish_preempted(record, local, None)
+    service._expire_worker_leases(local.id)
     return service, record
 
 
@@ -1418,7 +1620,7 @@ class TestTerminalTransitions:
             (_fleet_preempt, "cancelled"),
             (_done, "done"),
             (_worker_failure, "failed"),
-            (_local_preempt, "cancelled"),
+            (_local_worker_exited, "failed"),
             (_retry_budget_exhausted, "failed"),
             (_expiry_during_shutdown, "cancelled"),
             (_drain_timeout_release, "cancelled"),

@@ -15,8 +15,9 @@ The acceptance script for the fleet layer (CI runs it):
    scenario run locally via ``repro search`` — remote execution must
    be indistinguishable from local;
 5. scrape ``GET /metrics`` and assert the Prometheus exposition
-   parses, records the expired lease and the requeue, and counts the
-   completions; then shut down gracefully.
+   parses, records the expired lease and the requeue, counts the
+   completions, and reads no active lease and no running job once the
+   queue has drained; then shut down gracefully.
 
 With ``--lease-batch N`` (N > 1) the smoke exercises the batched data
 plane instead: the jobs are queued *before* the workers start, so the
@@ -320,6 +321,9 @@ def main() -> int:
             assert expired >= 1, samples.get("repro_leases_expired_total")
             assert requeues >= 1, samples.get("repro_jobs_requeued_total")
             assert samples["repro_workers_registered"][()] >= 2.0
+            # Drained: every lease closed, nothing left running.
+            for gauge in ("repro_leases_active", "repro_jobs_running"):
+                assert samples[gauge][()] == 0.0, (gauge, samples[gauge])
             if batch > 1:
                 batch_sum = samples["repro_lease_batch_jobs_sum"][()]
                 batch_count = samples["repro_lease_batch_jobs_count"][()]

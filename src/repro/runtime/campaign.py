@@ -24,6 +24,7 @@ every process.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -165,6 +166,22 @@ class CampaignJob:
         """Compact human-readable job identity."""
         return f"{self.network}/{self.platform}/{self.mode}/seed{self.seed}"
 
+    def to_dict(self) -> dict:
+        """``dataclasses.asdict(self)``, built directly (every field is
+        a scalar, so there is nothing to deep-copy)."""
+        return {
+            "network": self.network,
+            "platform": self.platform,
+            "mode": self.mode,
+            "seed": self.seed,
+            "episodes": self.episodes,
+            "kind": self.kind,
+            "repeats": self.repeats,
+            "seeds": self.seeds,
+            "kernel": self.kernel,
+            "warm_start": self.warm_start,
+        }
+
 
 @dataclass
 class CampaignResult:
@@ -214,13 +231,23 @@ _LUT_MEMO: dict = {}
 _LUT_MEMO_CAP = 32
 
 
+@functools.lru_cache(maxsize=_LUT_MEMO_CAP)
+def _resolved_root(cwd: str, cache_dir: str) -> str:
+    """``cache_dir`` resolved against ``cwd``, once per spelling."""
+    return str((Path(cwd) / cache_dir).resolve())
+
+
 def _lut_memo_key(job: CampaignJob, cache_dir, cache_remote):
     remotes = (
         (cache_remote,)
         if isinstance(cache_remote, str)
         else tuple(cache_remote or ())
     )
-    root = str(Path(cache_dir).resolve()) if cache_dir is not None else None
+    root = (
+        _resolved_root(os.getcwd(), os.fspath(cache_dir))
+        if cache_dir is not None
+        else None
+    )
     return (root, remotes, LutKey.from_job(job))
 
 
@@ -239,8 +266,7 @@ def load_or_profile_lut(
     fresh profile; a memo hit *is* a cache hit (the memoized table was
     resolved through — or written through to — this same cache).
     """
-    cache = open_cache(cache_dir, cache_remote)
-    if cache is None:
+    if cache_dir is None and not cache_remote:
         return profile_lut(job), False
     memo_key = _lut_memo_key(job, cache_dir, cache_remote)
     memoized = _LUT_MEMO.get(memo_key)
@@ -252,6 +278,7 @@ def load_or_profile_lut(
             "LUT resolutions answered by a cache tier, by tier kind.",
         ).inc(tier="memo")
         return memoized, True
+    cache = open_cache(cache_dir, cache_remote)
     resolution = cache.resolve(job, lambda: profile_lut(job))
     if len(_LUT_MEMO) >= _LUT_MEMO_CAP:
         _LUT_MEMO.pop(next(iter(_LUT_MEMO)))

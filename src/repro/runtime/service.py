@@ -95,7 +95,7 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
@@ -121,8 +121,8 @@ from repro.runtime.store import (
     ResultStore,
     StoredResult,
     best_ms_of,
-    decode_payload,
     job_key,
+    payload_from_dict,
 )
 from repro.runtime.worker import FleetWorker, WorkerConfig
 
@@ -289,6 +289,11 @@ class JobRecord:
     #: Latest in-flight progress (``{"episode", "best_ms"}``) reported
     #: through a lease heartbeat's checkpoint carriage.
     progress: dict | None = None
+    #: The result's ``(payload_kind, json)`` as :func:`encode_payload`
+    #: writes it — set when the result is delivered (the text the store
+    #: row holds) or on the first ``GET /jobs/{id}``, and spliced as is
+    #: into every such body.
+    encoded: tuple[str, str] | None = field(default=None, repr=False)
     done_event: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
     @property
@@ -296,17 +301,13 @@ class JobRecord:
         """Whether the job reached a terminal state."""
         return self.state in (DONE, FAILED, CANCELLED)
 
-    def to_dict(self, include_payload: bool = False) -> dict:
-        """JSON-ready view of the record (the wire format of ``/jobs``).
-
-        ``include_payload`` attaches the full result payload (encoded
-        exactly like the store encodes it) — ``GET /jobs/{id}`` sets
-        it, the ``GET /jobs`` listing does not.
-        """
+    def to_dict(self) -> dict:
+        """JSON-ready view of the record (the wire format of ``/jobs``),
+        without the result payload (see :meth:`to_json`)."""
         body = {
             "id": self.id,
             "state": self.state,
-            "job": asdict(self.job),
+            "job": self.job.to_dict(),
             "key": job_key(self.job),
             "priority": self.priority,
             "from_store": self.from_store,
@@ -327,13 +328,34 @@ class JobRecord:
             body["best_ms"] = best_ms_of(self.result.payload)
             body["wall_clock_s"] = self.result.wall_clock_s
             body["lut_from_cache"] = self.result.lut_from_cache
-            if include_payload:
-                from repro.runtime.store import encode_payload
-
-                kind, text = encode_payload(self.result.payload)
-                body["payload_kind"] = kind
-                body["payload"] = json.loads(text)
         return body
+
+    def to_json(self) -> str:
+        """The ``GET /jobs/{id}`` body: :meth:`to_dict` plus, once the
+        job is done, ``payload_kind`` and the full ``payload``.
+
+        The payload is :attr:`encoded` spliced in verbatim: a delivered
+        result's stored text, else the decoded payload encoded once, on
+        the first call.  A store hit takes the second path, so a row
+        written before a field existed is served with the field's
+        decoded default, as ``json.dumps`` of the payload would be.
+        """
+        body = self.to_dict()
+        if self.result is None:
+            return json.dumps(body)
+        if self.encoded is None:
+            self.encoded = _encode_payload(self.result.payload)
+        kind, text = self.encoded
+        body["payload_kind"] = kind
+        return f'{json.dumps(body)[:-1]}, "payload": {text}}}'
+
+
+def _encode_payload(payload) -> tuple[str, str]:
+    """:func:`repro.runtime.store.encode_payload`, looked up at call time
+    like the store's own calls, so a replaced encoder is honoured."""
+    from repro.runtime.store import encode_payload
+
+    return encode_payload(payload)
 
 
 def jobs_from_body(body: dict) -> tuple[list[CampaignJob], int]:
@@ -723,15 +745,22 @@ class CampaignService:
         queued/running records are never evicted, nor is ``keep`` (the
         record the caller is about to hand to a client — an
         acknowledged job id must stay queryable at least once).
+
+        Records are kept in submission order, so the victims are the
+        first ``excess`` finished ones; the scan stops there.  Past the
+        cap each submit evicts about one record, so eviction is
+        amortized O(1) while the oldest records are finished.
         """
         excess = len(self.records) - self.config.keep_records
         if excess <= 0:
             return
-        for job_id in [
-            record.id
-            for record in self.records.values()
-            if record.finished and record.id != keep
-        ][:excess]:
+        victims = []
+        for record in self.records.values():
+            if record.finished and record.id != keep:
+                victims.append(record.id)
+                if len(victims) == excess:
+                    break
+        for job_id in victims:
             del self.records[job_id]
 
     def cancel(self, job_id: str) -> bool:
@@ -1133,10 +1162,10 @@ class CampaignService:
                 continue
             try:
                 kind = entry["payload_kind"]
-                payload = decode_payload(kind, json.dumps(entry["payload"]))
+                payload = payload_from_dict(kind, entry["payload"])
                 wall_clock_s = float(entry["wall_clock_s"])
                 lut_from_cache = bool(entry.get("lut_from_cache", False))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 statuses.append(
                     {
                         "job_id": jid,
@@ -1160,10 +1189,19 @@ class CampaignService:
             delivered += 1
         persist_note = None
         if successes:
+            # The one serialization of each result on this side: the
+            # store row and every later GET /jobs/{id} share the text.
+            for record, result in successes:
+                record.encoded = _encode_payload(result.payload)
             try:
                 _, flush_s = self.store.put_many(
                     [
-                        (record.job, result.payload, result.wall_clock_s)
+                        (
+                            record.job,
+                            result.payload,
+                            result.wall_clock_s,
+                            record.encoded,
+                        )
                         for record, result in successes
                     ]
                 )
@@ -1550,16 +1588,23 @@ class CampaignService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections[writer] = asyncio.current_task()
+        loop = asyncio.get_running_loop()
+        transport = writer.transport
         served = 0
         try:
             while True:
+                # The read's deadline is a timer on the connection (no
+                # Task per request): past it the transport is aborted
+                # and the pending read sees EOF.
+                deadline = loop.call_later(REQUEST_READ_TIMEOUT_S, transport.abort)
                 try:
-                    request = await asyncio.wait_for(
-                        _read_request(reader, self._body_limit),
-                        timeout=REQUEST_READ_TIMEOUT_S,
-                    )
-                except asyncio.TimeoutError:
-                    return  # slow/idle client — drop without a response
+                    request = await _read_request(reader, self._body_limit)
+                except (ConfigError, asyncio.IncompleteReadError):
+                    if transport.is_closing():
+                        return  # slow/idle client — drop without a response
+                    raise
+                finally:
+                    deadline.cancel()
                 if request is None:
                     return
                 method, path, query, headers, body = request
@@ -1633,7 +1678,7 @@ class CampaignService:
                 if record is None:
                     await _respond(writer, 404, {"error": f"no job {parts[1]!r}"})
                 else:
-                    await _respond(writer, 200, record.to_dict(include_payload=True))
+                    await _respond(writer, 200, record.to_json())
             elif (
                 method == "GET"
                 and len(parts) == 3
@@ -2044,7 +2089,7 @@ class CampaignService:
         results = [
             {
                 "key": job_key(row.job),
-                "job": asdict(row.job),
+                "job": row.job.to_dict(),
                 "best_ms": row.best_ms,
                 "wall_clock_s": row.wall_clock_s,
                 "created_s": row.created_s,
@@ -2149,10 +2194,13 @@ def _connection_header(writer) -> str:
 
 
 async def _respond(
-    writer, status: int, payload: dict, headers: dict | None = None
+    writer, status: int, payload: dict | str, headers: dict | None = None
 ) -> None:
-    """Write one JSON response and flush."""
-    body = json.dumps(payload).encode() + b"\n"
+    """Write one JSON response and flush (a ``str`` payload is JSON
+    text already)."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload)
+    body = payload.encode() + b"\n"
     text = _STATUS_TEXT.get(status, "OK")
     head = [
         f"HTTP/1.1 {status} {text}",

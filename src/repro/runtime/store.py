@@ -97,6 +97,15 @@ CREATE TABLE IF NOT EXISTS leases (
 )
 """
 
+#: The table gains a row per lease and keeps it; the live ones are a
+#: handful.  This partial index holds only those, so every query on
+#: active leases (the metrics gauges, the reaper sweep, the drain loop,
+#: start/stop hygiene) costs O(active leases), not O(table).
+_LEASE_ACTIVE_INDEX_DDL = (
+    "CREATE INDEX IF NOT EXISTS leases_active ON leases(state) "
+    "WHERE state = 'active'"
+)
+
 #: Lease lifecycle states.  ``active`` is the only live state;
 #: ``completed``/``failed`` are worker-reported outcomes, ``expired``
 #: means the reaper (or a late heartbeat check) found the deadline
@@ -142,6 +151,33 @@ def job_key(job: CampaignJob) -> str:
     return "/".join(parts)
 
 
+def payload_dict(payload) -> tuple[str, dict]:
+    """A campaign payload as ``(payload_kind, JSON-ready dict)``.
+
+    The dict :func:`encode_payload` serializes; a fleet worker ships it
+    inside its result body, so the body's one serialization writes the
+    same text the store holds.
+    """
+    from repro.analysis.compare import MethodComparison
+    from repro.analysis.speedup import Table2Row
+
+    if isinstance(payload, SearchResult):
+        return "search_result", _search_result_dict(payload)
+    if isinstance(payload, MultiSeedResult):
+        body = {
+            "results": [_search_result_dict(r) for r in payload.results],
+            "wall_clock_s": payload.wall_clock_s,
+            "batched_pricings": payload.batched_pricings,
+            "lockstep": payload.lockstep,
+        }
+        return "multi_seed_result", body
+    if isinstance(payload, Table2Row):
+        return "table2_row", asdict(payload)
+    if isinstance(payload, MethodComparison):
+        return "method_comparison", asdict(payload)
+    raise ConfigError(f"cannot store payload of type {type(payload).__name__}")
+
+
 def encode_payload(payload) -> tuple[str, str]:
     """Serialize a campaign payload to ``(payload_kind, json)``.
 
@@ -151,32 +187,22 @@ def encode_payload(payload) -> tuple[str, str]:
     ``SearchResult``'s ``config`` is reduced to the fields needed to
     re-label the run (the epsilon schedule object is not persisted).
     """
-    from repro.analysis.compare import MethodComparison
-    from repro.analysis.speedup import Table2Row
-
-    if isinstance(payload, SearchResult):
-        return "search_result", json.dumps(_search_result_dict(payload))
-    if isinstance(payload, MultiSeedResult):
-        body = {
-            "results": [_search_result_dict(r) for r in payload.results],
-            "wall_clock_s": payload.wall_clock_s,
-            "batched_pricings": payload.batched_pricings,
-            "lockstep": payload.lockstep,
-        }
-        return "multi_seed_result", json.dumps(body)
-    if isinstance(payload, Table2Row):
-        return "table2_row", json.dumps(asdict(payload))
-    if isinstance(payload, MethodComparison):
-        return "method_comparison", json.dumps(asdict(payload))
-    raise ConfigError(f"cannot store payload of type {type(payload).__name__}")
+    kind, body = payload_dict(payload)
+    return kind, json.dumps(body)
 
 
 def decode_payload(payload_kind: str, text: str):
     """Inverse of :func:`encode_payload`."""
+    return payload_from_dict(payload_kind, json.loads(text))
+
+
+def payload_from_dict(payload_kind: str, body: dict):
+    """Inverse of :func:`payload_dict`: rebuild a payload from its
+    parsed JSON (a delivered result body is decoded without another
+    serialize/parse hop)."""
     from repro.analysis.compare import MethodComparison
     from repro.analysis.speedup import Table2Row
 
-    body = json.loads(text)
     if payload_kind == "search_result":
         return _search_result_from(body)
     if payload_kind == "multi_seed_result":
@@ -300,13 +326,21 @@ class LeaseRecord:
         with single-lease consumers; ``job_ids`` lists the whole batch
         and ``jobs`` counts it.
         """
-        body = asdict(self)
         ids = self.job_ids
-        body["job_id"] = ids[0]
-        body["job_key"] = self.job_keys[0]
-        body["job_ids"] = ids
-        body["jobs"] = len(ids)
-        return body
+        return {
+            "lease_id": self.lease_id,
+            "job_id": ids[0],
+            "job_key": self.job_keys[0],
+            "worker": self.worker,
+            "state": self.state,
+            "attempt": self.attempt,
+            "created_s": self.created_s,
+            "deadline_s": self.deadline_s,
+            "heartbeats": self.heartbeats,
+            "finished_s": self.finished_s,
+            "job_ids": ids,
+            "jobs": len(ids),
+        }
 
 
 @dataclass
@@ -402,6 +436,7 @@ class ResultStore:
                 self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(_TABLE_DDL)
             self._conn.execute(_LEASE_DDL)
+            self._conn.execute(_LEASE_ACTIVE_INDEX_DDL)
             self._conn.execute(_CHECKPOINT_DDL)
             self._conn.commit()
 
@@ -413,10 +448,17 @@ class ResultStore:
     )
 
     @staticmethod
-    def _row(job: CampaignJob, payload, wall_clock_s: float) -> tuple[str, tuple]:
-        """Encode one solved job as its ``(key, 16-column row)``."""
+    def _row(
+        job: CampaignJob,
+        payload,
+        wall_clock_s: float,
+        encoded: tuple[str, str] | None = None,
+    ) -> tuple[str, tuple]:
+        """Encode one solved job as its ``(key, 16-column row)``;
+        ``encoded`` is the payload's :func:`encode_payload` when the
+        caller already has it."""
         key = job_key(job)
-        payload_kind, text = encode_payload(payload)
+        payload_kind, text = encoded or encode_payload(payload)
         return key, (
             key,
             STORE_SCHEMA_VERSION,
@@ -495,18 +537,19 @@ class ResultStore:
                 self.flush_stats["total_s"] += time.perf_counter() - started
         return key
 
-    def put_many(
-        self, items: list[tuple[CampaignJob, object, float]]
-    ) -> tuple[list[str], float]:
+    def put_many(self, items: list[tuple]) -> tuple[list[str], float]:
         """Insert a batch of ``(job, payload, wall_clock_s)`` in ONE
         transaction; returns ``(keys, elapsed_s)`` — the keys in input
         order plus this commit's own latency.
 
-        Any buffered group-commit rows ride along in the same commit
-        (one fsync covers everything).  Bitwise semantics are identical
-        to repeated :meth:`put` calls — same encoder, same row layout.
+        An item may carry a fourth element, the payload's
+        :func:`encode_payload` ``(payload_kind, json)``, which is stored
+        as is instead of encoding the payload again.  Any buffered
+        group-commit rows ride along in the same commit (one fsync
+        covers everything).  Bitwise semantics are identical to repeated
+        :meth:`put` calls — same encoder, same row layout.
         """
-        encoded = [self._row(job, payload, wall) for job, payload, wall in items]
+        encoded = [self._row(*item) for item in items]
         with self._lock:
             for key, row in encoded:
                 self._buffer[key] = row

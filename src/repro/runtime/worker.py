@@ -15,15 +15,16 @@ service never dials out, so workers behind NAT just work):
    no more than one request per window; 204 means the window passed
    with nothing to do.
 3. **Heartbeat** — while the jobs execute (in this process, via
-   :func:`~repro.runtime.campaign.execute_job`), a daemon thread beats
-   ``POST /leases/{id}/heartbeat`` every TTL/3 seconds, carrying the
-   jobs' latest anytime checkpoints.  A 409 tells the worker it lost
-   the lease (the service requeued the jobs, or revoked the lease to
-   preempt one) and the results must be discarded.
+   :func:`~repro.runtime.campaign.execute_job`), the worker's one beat
+   thread beats ``POST /leases/{id}/heartbeat`` every TTL/3 seconds,
+   carrying the jobs' latest anytime checkpoints.  A 409 tells the
+   worker it lost the lease (the service requeued the jobs, or revoked
+   the lease to preempt one) and the results must be discarded.
 4. **Results** — one ``POST /leases/{id}/results`` delivers every
    encoded outcome of the lease (a one-job lease is a batch of one).
-   Encoding goes through :func:`~repro.runtime.store.encode_payload` —
-   the same JSON the result store writes — so a remotely computed
+   Each payload rides as :func:`~repro.runtime.store.payload_dict` —
+   the dict the result store serializes — so the request body is the
+   result's one serialization on this side, and a remotely computed
    result lands in the store bitwise-identical to local execution
    (shortest-repr floats round-trip exactly).  A delivery that fails
    in transit is kept and re-sent before the next lease.
@@ -62,7 +63,7 @@ from repro.errors import (
 )
 from repro.runtime.campaign import CampaignJob, execute_job
 from repro.runtime.client import ServiceClient
-from repro.runtime.store import encode_payload
+from repro.runtime.store import payload_dict
 
 #: Consecutive failed service round-trips before the worker gives up
 #: (covers restarts and brief partitions without spinning forever).
@@ -127,11 +128,13 @@ class WorkerStats:
         }
 
 
-class _Heartbeat(threading.Thread):
-    """Daemon thread beating one lease until stopped or lost.
+class _Heartbeat:
+    """The heartbeat of one lease, beaten by its worker's beat thread
+    (:class:`_BeatThread`) every ``interval_s`` from the grant until
+    stopped or lost.
 
     Transient transport errors are tolerated (the TTL absorbs a few
-    missed beats); a 409 sets :attr:`lost` and ends the thread — the
+    missed beats); a 409 sets :attr:`lost` and ends the beating — the
     service has already requeued the job (or revoked the lease to
     preempt it).
 
@@ -145,13 +148,13 @@ class _Heartbeat(threading.Thread):
     """
 
     def __init__(self, client: ServiceClient, lease_id: str, interval_s: float) -> None:
-        super().__init__(daemon=True, name=f"heartbeat-{lease_id}")
         self.client = client
         self.lease_id = lease_id
         self.interval_s = interval_s
         self.lost = threading.Event()
-        # Not `_stop`: threading.Thread claims that name internally.
-        self._halt = threading.Event()
+        self.stopped = False
+        #: ``time.monotonic()`` at which the next beat is due.
+        self.due_s = time.monotonic() + interval_s
         self._lock = threading.Lock()
         self._checkpoints: dict[str, dict] = {}
 
@@ -161,10 +164,6 @@ class _Heartbeat(threading.Thread):
         may encode it while the search runs on."""
         with self._lock:
             self._checkpoints[job_id] = ckpt
-
-    def run(self) -> None:
-        while not self._halt.wait(self.interval_s) and self.beat():
-            pass
 
     def beat(self) -> bool:
         """Send one heartbeat carrying every fresh checkpoint, encoded
@@ -184,24 +183,78 @@ class _Heartbeat(threading.Thread):
         return True
 
     def stop(self) -> None:
-        """Stop beating, without waiting for the thread: a beat already
-        in flight lands like any other, and a 409 it meets only marks a
-        lease whose results the service decides on anyway."""
-        self._halt.set()
+        """Stop beating, without waiting for the beat thread: a beat
+        already in flight lands like any other, and a 409 it meets only
+        marks a lease whose results the service decides on anyway."""
+        self.stopped = True
+
+
+class _BeatThread(threading.Thread):
+    """The one daemon thread that beats a worker's current lease.
+
+    :meth:`follow` hands it each new lease's :class:`_Heartbeat`; it
+    sleeps until that lease's next beat is due, sends it, and schedules
+    the one after ``interval_s`` later.  The worker starts it lazily in
+    the process that runs the loop (a thread does not survive ``fork``)
+    and closes it when the loop returns, so a process that ran a worker
+    is not left with a thread that keeps
+    :func:`~repro.core.multi_seed.shard_count` from forking its sweeps.
+    """
+
+    def __init__(self, name: str) -> None:
+        super().__init__(daemon=True, name=name)
+        self._cond = threading.Condition()
+        self._current: _Heartbeat | None = None
+        self._closed = False
+
+    def follow(self, beat: _Heartbeat) -> None:
+        """Beat ``beat`` from now on instead of the previous lease."""
+        with self._cond:
+            self._current = beat
+            self._cond.notify()
+
+    def close(self) -> None:
+        """Ask the thread to exit, without waiting for it: a beat in
+        flight still lands."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+
+    def run(self) -> None:
+        with self._cond:
+            while not self._closed:
+                beat = self._current
+                if beat is None or beat.stopped:
+                    self._current = None
+                    self._cond.wait()
+                    continue
+                wait_s = beat.due_s - time.monotonic()
+                if wait_s > 0:
+                    self._cond.wait(wait_s)
+                    continue
+                self._cond.release()
+                try:
+                    alive = beat.beat()
+                finally:
+                    self._cond.acquire()
+                beat.due_s = time.monotonic() + beat.interval_s
+                if not alive and self._current is beat:
+                    self._current = None
 
 
 def encode_outcome(result) -> dict:
     """A :class:`CampaignResult` as the result-submission wire body.
 
-    ``encode_payload`` produces the store's canonical JSON text; the
-    parse/serialize hop through the HTTP body preserves every float
-    bitwise (Python's shortest-repr round-trip guarantee), which is
-    what keeps remote execution indistinguishable from local.
+    The payload is :func:`~repro.runtime.store.payload_dict`, the dict
+    the store serializes: the request body's serialization writes the
+    store's canonical JSON text, and the service's parse of it preserves
+    every float bitwise (Python's shortest-repr round-trip guarantee),
+    which is what keeps remote execution indistinguishable from local.
     """
-    kind, text = encode_payload(result.payload)
+    kind, body = payload_dict(result.payload)
     return {
         "payload_kind": kind,
-        "payload": json.loads(text),
+        "payload": body,
         "wall_clock_s": result.wall_clock_s,
         "lut_from_cache": result.lut_from_cache,
     }
@@ -231,6 +284,7 @@ class FleetWorker:
         self.heartbeat_s: float = 10.0
         #: ``(lease_id, outcomes)`` executed but not yet delivered.
         self._pending: tuple[str, list[dict]] | None = None
+        self._beat_thread: _BeatThread | None = None
 
     def register(self) -> dict:
         """Announce this worker; remembers the id and heartbeat hint."""
@@ -258,7 +312,15 @@ class FleetWorker:
     def run_one(self) -> bool:
         """Re-send an undelivered batch, or else lease, execute and
         deliver one batch; False when the queue stayed empty for the
-        whole long-poll window."""
+        whole long-poll window.  The beat thread it starts ends with
+        it; :meth:`run` keeps one across its steps."""
+        try:
+            return self._step()
+        finally:
+            self._stop_beating()
+
+    def _step(self) -> bool:
+        """:meth:`run_one`, leaving the beat thread running."""
         assert self.worker_id is not None, "register() first"
         if self._pending is not None:
             lease_id = self._pending[0]
@@ -297,6 +359,26 @@ class FleetWorker:
 
         return on_checkpoint
 
+    def _heartbeat(self, lease_id: str) -> _Heartbeat:
+        """Start beating a fresh lease on this worker's beat thread,
+        starting the thread when there is none alive (the first lease
+        of a run, or a fork since)."""
+        beat = _Heartbeat(self.client, lease_id, self.heartbeat_s)
+        thread = self._beat_thread
+        # is_alive() first: a thread inherited through fork is dead, and
+        # its lock may have been held at the fork.
+        if thread is None or not thread.is_alive():
+            thread = self._beat_thread = _BeatThread(f"heartbeat-{self.worker_id}")
+            thread.start()
+        thread.follow(beat)
+        return beat
+
+    def _stop_beating(self) -> None:
+        """Close the beat thread at the end of a run."""
+        thread, self._beat_thread = self._beat_thread, None
+        if thread is not None and thread.is_alive():
+            thread.close()
+
     def _process(self, grant: dict) -> bool:
         """Execute a grant's jobs and deliver their outcomes; False when
         the lease was lost before delivery landed."""
@@ -304,8 +386,7 @@ class FleetWorker:
         checkpoint_every = int(grant.get("checkpoint_every") or 0) or None
         resume_map = grant.get("resume") or {}
         warm_map = grant.get("warm") or {}
-        beat = _Heartbeat(self.client, lease_id, self.heartbeat_s)
-        beat.start()
+        beat = self._heartbeat(lease_id)
         outcomes: list[dict] = []
         try:
             for entry in grant["jobs"]:
@@ -384,22 +465,25 @@ class FleetWorker:
         in ``undelivered``.
         """
         errors = 0
-        while True:
-            try:
-                self.run_one()
-            except (ServiceError, OSError):
-                errors += 1
-                if errors >= MAX_CONSECUTIVE_ERRORS:
-                    if self._pending is not None:
-                        self.stats.undelivered += len(self._pending[1])
-                        self._pending = None
-                    self.log("service unreachable; exiting")
+        try:
+            while True:
+                try:
+                    self._step()
+                except (ServiceError, OSError):
+                    errors += 1
+                    if errors >= MAX_CONSECUTIVE_ERRORS:
+                        if self._pending is not None:
+                            self.stats.undelivered += len(self._pending[1])
+                            self._pending = None
+                        self.log("service unreachable; exiting")
+                        return self.stats
+                    time.sleep(self.config.poll_s)
+                    continue
+                errors = 0
+                if self.config.max_jobs and self._jobs_done() >= self.config.max_jobs:
                     return self.stats
-                time.sleep(self.config.poll_s)
-                continue
-            errors = 0
-            if self.config.max_jobs and self._jobs_done() >= self.config.max_jobs:
-                return self.stats
+        finally:
+            self._stop_beating()
 
 
 def run_worker(config: WorkerConfig) -> int:

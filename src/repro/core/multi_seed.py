@@ -36,19 +36,17 @@ routes its own kind by the rule above and runs the same episode loop,
 so every member is still bit-identical to its solo run; only the wall
 clock changes.  A sweep stays in-process when it is anytime (a
 checkpoint captures every seed at one episode boundary), when it
-routes to mega (one dispatch over all seeds already), in a
-multiprocessing child (campaign and service pool workers already fill
-the CPUs; a shard never shards again), and while another Python thread
-runs (it may hold a lock at fork time).
+routes to mega (one dispatch over all seeds already), and wherever
+:func:`~repro.utils.proc.can_fork` says no: in a multiprocessing child
+(a campaign's children and the service's local workers already fill
+the CPUs; a shard never shards again), while another Python thread
+runs (it may hold a lock at fork time), or without ``fork``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,15 +58,9 @@ from repro.core.priors import prior_row_max, q_layout
 from repro.core.result import SearchResult
 from repro.core.search import ScalarKind, run_episodes
 from repro.engine.lut import LatencyTable
-from repro.errors import ConfigError, SearchError
+from repro.errors import ConfigError
+from repro.utils.proc import can_fork, fork_map
 from repro.utils.units import format_ms
-
-#: The warning Python >= 3.12 emits when it forks a process with more
-#: than one OS thread.  numpy's bundled OpenBLAS starts a pool thread
-#: at import, so every sharded sweep would raise it, although
-#: :func:`shard_count` forks only while this is the sole Python thread
-#: and that OpenBLAS registers its own fork handlers.
-_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
 
 def seed_range(base_seed: int, count: int) -> list[int]:
@@ -98,18 +90,15 @@ def shard_count(
 
     The sweep stays in-process when it is anytime (any of the
     :meth:`MultiSeedSearch.run` arguments given), when it routes to
-    the mega kind (``mega``), in a multiprocessing child, while another
-    Python thread runs, or where the ``fork`` start method is missing.
-    Otherwise it runs on min(K, usable CPUs) processes.
+    the mega kind (``mega``), or where :func:`~repro.utils.proc.can_fork`
+    says no.  Otherwise it runs on min(K, usable CPUs) processes.
     """
     if (
         checkpoint_every is not None
         or on_checkpoint is not None
         or resume is not None
         or mega
-        or multiprocessing.parent_process() is not None
-        or threading.active_count() != 1
-        or "fork" not in multiprocessing.get_all_start_methods()
+        or not can_fork()
     ):
         return 1
     return min(num_seeds, usable_cpus())
@@ -246,35 +235,14 @@ class MultiSeedSearch:
             # queries sqlite, whose connections must not cross a fork.
             prior = _ResolvedPrior(prior.prior_for(self.lut, self.config.discount))
         shards = [part.tolist() for part in np.array_split(self.seeds, processes)]
-        context = multiprocessing.get_context("fork")
-        children = []
-        try:
-            for seeds in shards[:-1]:
-                receiver, sender = context.Pipe(duplex=False)
-                child = context.Process(
-                    target=_shard_main,
-                    args=(self, seeds, prior, sender),
-                    daemon=True,
-                )
-                with warnings.catch_warnings():
-                    warnings.filterwarnings(
-                        "ignore", message=_FORK_WARNING, category=DeprecationWarning
-                    )
-                    child.start()
-                # Closed here so a child that dies unheard reads as EOF.
-                sender.close()
-                children.append((child, receiver, seeds))
-            own = self._run_shard(shards[-1], prior)
-            results = []
-            for child, receiver, seeds in children:
-                results.extend(_receive(child, receiver, seeds))
-            results.extend(own)
-        finally:
-            for child, receiver, _ in children:
-                receiver.close()
-                if child.exitcode is None:
-                    child.kill()
-                child.join()
+        members = fork_map(
+            lambda seeds: self._run_shard(seeds, prior),
+            shards,
+            processes - 1,
+            lambda seeds: f"sweep shard for seeds {seeds}",
+            own=1,
+        )
+        results = [result for shard in members for result in shard]
         wall = time.perf_counter() - started
         for result in results:
             result.wall_clock_s = wall / len(results)
@@ -329,33 +297,6 @@ class _ResolvedPrior:
     def prior_for(self, lut, discount: float = 0.9) -> np.ndarray | None:
         """The block resolved before the fork, whatever the arguments."""
         return self._values
-
-
-def _shard_main(search: MultiSeedSearch, seeds, prior, sender) -> None:
-    """A forked child's body: run its shard, send back the results or
-    the error that stopped it."""
-    try:
-        message = ("ok", search._run_shard(seeds, prior))
-    except Exception as error:  # the parent raises it
-        message = ("error", f"{type(error).__name__}: {error}")
-    sender.send(message)
-    sender.close()
-
-
-def _receive(child, receiver, seeds) -> list[SearchResult]:
-    """One child's members, or :class:`SearchError` naming its seeds."""
-    try:
-        status, payload = receiver.recv()
-    except EOFError:
-        child.join()
-        raise SearchError(
-            f"sweep shard for seeds {seeds} exited with code "
-            f"{child.exitcode} before sending its results"
-        ) from None
-    child.join()
-    if status != "ok":
-        raise SearchError(f"sweep shard for seeds {seeds} failed: {payload}")
-    return payload
 
 
 class VectorizedKind:

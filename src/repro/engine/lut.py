@@ -351,12 +351,6 @@ class IndexedLUT:
     def __len__(self) -> int:
         return len(self.layer_names)
 
-    @property
-    def has_engine(self) -> bool:
-        """Whether an engine is already cached (built or adopted) —
-        lets the shared-table attach path skip views that are warm."""
-        return self._engine is not None
-
     def engine(self) -> "CostEngine":
         """The compiled (cached) vectorized pricing engine."""
         if self._engine is None:
@@ -364,31 +358,6 @@ class IndexedLUT:
 
             self._engine = CostEngine.from_indexed(self)
         return self._engine
-
-    def adopt_engine(self, engine: "CostEngine") -> "CostEngine":
-        """Install a pre-built engine as this view's cached engine.
-
-        The shared-table path attaches a zero-copy
-        :class:`~repro.engine.pricing.CostEngine` over a
-        ``multiprocessing.shared_memory`` segment and injects it here,
-        so every search over this LUT prices against the host's single
-        tensor copy.  Identity is checked structurally — the engine
-        must describe exactly this LUT's layers, candidates and edges
-        — because a mismatched engine would silently price a different
-        scenario.
-        """
-        if (
-            engine.layer_names != self.layer_names
-            or engine.candidate_uids != self.candidate_uids
-            or engine.edges != [tuple(e) for e in self.edges]
-        ):
-            raise ScheduleError(
-                "adopted engine does not describe this LUT "
-                f"({self.lut.graph_name}/{self.lut.platform_name}/"
-                f"{self.lut.mode}): layer/candidate/edge mismatch"
-            )
-        self._engine = engine
-        return engine
 
     def total_ms(self, choices: np.ndarray) -> float:
         """Objective for a full choice vector (one index per layer)."""

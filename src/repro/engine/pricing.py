@@ -65,11 +65,9 @@ class CostEngine:
         self,
         layer_names: Sequence[str],
         candidate_uids: Sequence[Sequence[str]],
-        times: Sequence[np.ndarray] | None,
+        times: Sequence[np.ndarray],
         edges: Sequence[tuple[str, str]],
-        edge_matrices: Sequence[np.ndarray] | None,
-        *,
-        dense_tables: tuple[np.ndarray, np.ndarray] | None = None,
+        edge_matrices: Sequence[np.ndarray],
     ) -> None:
         self.layer_names = list(layer_names)
         self.layer_index = {n: i for i, n in enumerate(self.layer_names)}
@@ -81,72 +79,33 @@ class CostEngine:
         num_layers = len(self.layer_names)
         num_edges = len(self.edges)
 
-        if dense_tables is not None:
-            # Zero-copy construction over pre-built dense tensors (the
-            # shared-memory attach path): ``times`` / ``edge_matrices``
-            # become truncated views into the padded tables, nothing is
-            # re-filled, and the big arrays are adopted as-is — which
-            # is exactly what makes an 8-worker host hold one tensor
-            # copy per (platform, network) instead of eight.
-            times_dense, edge_penalties = dense_tables
-            counts = [len(u) for u in self.candidate_uids]
-            if len(layer_names) != len(candidate_uids):
-                raise ScheduleError("layer_names and candidate_uids must align")
-            if (
-                times_dense.dtype != np.float64
-                or times_dense.ndim != 2
-                or times_dense.shape[0] != num_layers
-                or (num_layers and times_dense.shape[1] != max(counts))
-            ):
-                raise ScheduleError(
-                    f"dense time table has shape {times_dense.shape}, "
-                    f"expected ({num_layers}, {max(counts) if counts else 0})"
-                )
-            max_actions = times_dense.shape[1] if num_layers else 0
-            if (
-                edge_penalties.dtype != np.float64
-                or edge_penalties.shape
-                != (num_edges, max_actions, max_actions)
-            ):
-                raise ScheduleError(
-                    f"dense edge table has shape {edge_penalties.shape}, "
-                    f"expected ({num_edges}, {max_actions}, {max_actions})"
-                )
-            self.times_dense = times_dense
-            self.times = [times_dense[i, :n] for i, n in enumerate(counts)]
-            self.num_actions = np.array(counts, dtype=np.int64)
-            self.edge_penalties = edge_penalties
-            self.edge_matrices = []
-        else:
-            if (
-                times is None
-                or edge_matrices is None
-                or len(layer_names) != len(candidate_uids)
-                or len(layer_names) != len(times)
-            ):
-                raise ScheduleError(
-                    "layer_names, candidate_uids and times must align"
-                )
-            if len(edges) != len(edge_matrices):
-                raise ScheduleError("edges and edge_matrices must align")
-            self.times = [np.asarray(t, dtype=np.float64) for t in times]
-            self.num_actions = np.array(
-                [len(t) for t in self.times], dtype=np.int64
+        if (
+            len(layer_names) != len(candidate_uids)
+            or len(layer_names) != len(times)
+        ):
+            raise ScheduleError(
+                "layer_names, candidate_uids and times must align"
             )
-            max_actions = int(self.num_actions.max()) if num_layers else 0
-            # Dense per-layer time matrix; +inf padding makes an
-            # out-of-range (but < max_actions) choice price to infinity.
-            self.times_dense = np.full(
-                (num_layers, max_actions), np.inf, dtype=np.float64
-            )
-            for i, t in enumerate(self.times):
-                self.times_dense[i, : len(t)] = t
-            self.edge_matrices = [
-                np.asarray(m, dtype=np.float64) for m in edge_matrices
-            ]
-            self.edge_penalties = np.zeros(
-                (num_edges, max_actions, max_actions), dtype=np.float64
-            )
+        if len(edges) != len(edge_matrices):
+            raise ScheduleError("edges and edge_matrices must align")
+        self.times = [np.asarray(t, dtype=np.float64) for t in times]
+        self.num_actions = np.array(
+            [len(t) for t in self.times], dtype=np.int64
+        )
+        max_actions = int(self.num_actions.max()) if num_layers else 0
+        # Dense per-layer time matrix; +inf padding makes an
+        # out-of-range (but < max_actions) choice price to infinity.
+        self.times_dense = np.full(
+            (num_layers, max_actions), np.inf, dtype=np.float64
+        )
+        for i, t in enumerate(self.times):
+            self.times_dense[i, : len(t)] = t
+        self.edge_matrices = [
+            np.asarray(m, dtype=np.float64) for m in edge_matrices
+        ]
+        self.edge_penalties = np.zeros(
+            (num_edges, max_actions, max_actions), dtype=np.float64
+        )
 
         self.edge_src = np.empty(num_edges, dtype=np.int64)
         self.edge_dst = np.empty(num_edges, dtype=np.int64)
@@ -160,22 +119,10 @@ class CostEngine:
             ci = self.layer_index[consumer]
             self.edge_src[e] = pi
             self.edge_dst[e] = ci
-            if dense_tables is not None:
-                # Truncated views into the adopted padded tensor; the
-                # padding region is zero by construction, so the views
-                # carry exactly the original per-edge matrices.
-                self.edge_matrices.append(
-                    self.edge_penalties[
-                        e,
-                        : len(self.candidate_uids[pi]),
-                        : len(self.candidate_uids[ci]),
-                    ]
-                )
-            else:
-                matrix = self.edge_matrices[e]
-                self.edge_penalties[
-                    e, : matrix.shape[0], : matrix.shape[1]
-                ] = matrix
+            matrix = self.edge_matrices[e]
+            self.edge_penalties[
+                e, : matrix.shape[0], : matrix.shape[1]
+            ] = matrix
             self.incident[ci].append((e, pi, True))
             self.incident[pi].append((e, ci, False))
 
@@ -505,196 +452,3 @@ class CostEngine:
     def greedy_choices(self) -> np.ndarray:
         """Per-layer fastest candidate, penalties ignored (Fig. 1 trap)."""
         return np.argmin(self.times_dense, axis=1)
-
-
-#: Byte alignment of the tensor regions inside a shared segment (one
-#: cache line — keeps the float64 blocks aligned for every attacher).
-_SHARED_ALIGN = 64
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _SHARED_ALIGN - 1) // _SHARED_ALIGN * _SHARED_ALIGN
-
-
-_SEGMENT_CLS = None
-
-
-def _segment_cls():
-    """A ``SharedMemory`` subclass whose ``close`` tolerates live
-    buffer views.
-
-    An attached engine's numpy views keep the mapping "exported", so
-    plain ``mmap.close`` raises ``BufferError`` — including from
-    ``SharedMemory.__del__`` at garbage collection, which prints an
-    unraisable-exception warning.  The mapping is released at process
-    exit regardless, so swallowing the refusal here is the correct
-    lifecycle, not a cover-up.
-    """
-    global _SEGMENT_CLS
-    if _SEGMENT_CLS is None:
-        from multiprocessing import shared_memory
-
-        class _ForgivingSegment(shared_memory.SharedMemory):
-            def close(self):
-                try:
-                    super().close()
-                except BufferError:
-                    pass
-
-        _SEGMENT_CLS = _ForgivingSegment
-    return _SEGMENT_CLS
-
-
-class SharedCostTables:
-    """A :class:`CostEngine`'s dense tensors in one
-    ``multiprocessing.shared_memory`` segment.
-
-    Segment layout: an 8-byte little-endian header length, a UTF-8 JSON
-    header (layer names, candidate uids, edges, shapes, offsets), then
-    the 64-byte-aligned raw bytes of ``times_dense`` and
-    ``edge_penalties`` in C order.  :meth:`create` packs an engine once
-    (the owner); :meth:`attach` maps it read-only and :meth:`engine`
-    rebuilds a zero-copy engine over the mapped tensors, so every
-    attaching process prices bitwise-identically to the original while
-    the host holds a single physical copy.
-
-    Lifecycle contract: the **owner** (the process that called
-    :meth:`create`) must :meth:`unlink` the segment when the campaign
-    or service shuts down — attachment alone must never unlink, or the
-    segment would vanish under sibling workers.  :meth:`close` is safe
-    to call from anyone and tolerates live views (a worker's engine
-    may still reference the buffer at interpreter exit).
-    """
-
-    def __init__(self, shm, header: dict, owner: bool) -> None:
-        self._shm = shm
-        self._header = header
-        self._owner = owner
-        self._engine: CostEngine | None = None
-        self._unlinked = False
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, engine: CostEngine, name: str | None = None) -> "SharedCostTables":
-        """Export one engine's dense tensors into a fresh segment."""
-        import json
-        import struct
-
-        times = np.ascontiguousarray(engine.times_dense, dtype=np.float64)
-        penalties = np.ascontiguousarray(
-            engine.edge_penalties, dtype=np.float64
-        )
-        header = {
-            "layer_names": engine.layer_names,
-            "candidate_uids": engine.candidate_uids,
-            "edges": [list(e) for e in engine.edges],
-            "times_shape": list(times.shape),
-            "edges_shape": list(penalties.shape),
-        }
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        times_offset = _aligned(8 + len(header_bytes))
-        edges_offset = _aligned(times_offset + times.nbytes)
-        header["times_offset"] = times_offset
-        header["edges_offset"] = edges_offset
-        # Re-encode with the offsets included; offsets only grow the
-        # header by a bounded amount, so recompute them to fixpoint.
-        while True:
-            header_bytes = json.dumps(
-                header, separators=(",", ":")
-            ).encode("utf-8")
-            times_offset = _aligned(8 + len(header_bytes))
-            edges_offset = _aligned(times_offset + times.nbytes)
-            if (
-                header["times_offset"] == times_offset
-                and header["edges_offset"] == edges_offset
-            ):
-                break
-            header["times_offset"] = times_offset
-            header["edges_offset"] = edges_offset
-        total = max(edges_offset + penalties.nbytes, 1)
-        shm = _segment_cls()(create=True, size=total, name=name)
-        struct.pack_into("<Q", shm.buf, 0, len(header_bytes))
-        shm.buf[8 : 8 + len(header_bytes)] = header_bytes
-        if times.nbytes:
-            np.frombuffer(
-                shm.buf, dtype=np.float64, count=times.size, offset=times_offset
-            )[:] = times.reshape(-1)
-        if penalties.nbytes:
-            np.frombuffer(
-                shm.buf,
-                dtype=np.float64,
-                count=penalties.size,
-                offset=edges_offset,
-            )[:] = penalties.reshape(-1)
-        return cls(shm, header, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedCostTables":
-        """Map an existing segment by name (non-owning)."""
-        import json
-        import struct
-
-        shm = _segment_cls()(name=name)
-        (header_len,) = struct.unpack_from("<Q", shm.buf, 0)
-        header = json.loads(bytes(shm.buf[8 : 8 + header_len]).decode("utf-8"))
-        return cls(shm, header, owner=False)
-
-    # -- the engine view -----------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        """The segment name (the handle workers attach by)."""
-        return self._shm.name
-
-    def engine(self) -> CostEngine:
-        """A zero-copy :class:`CostEngine` over the mapped tensors
-        (built once, cached).  The views are marked read-only: the
-        tables are shared across processes, and a worker scribbling on
-        them would corrupt every sibling's pricing."""
-        if self._engine is None:
-            header = self._header
-            t_shape = tuple(header["times_shape"])
-            e_shape = tuple(header["edges_shape"])
-            times = np.frombuffer(
-                self._shm.buf,
-                dtype=np.float64,
-                count=int(np.prod(t_shape)) if t_shape else 0,
-                offset=header["times_offset"],
-            ).reshape(t_shape)
-            penalties = np.frombuffer(
-                self._shm.buf,
-                dtype=np.float64,
-                count=int(np.prod(e_shape)) if e_shape else 0,
-                offset=header["edges_offset"],
-            ).reshape(e_shape)
-            times.flags.writeable = False
-            penalties.flags.writeable = False
-            self._engine = CostEngine(
-                layer_names=header["layer_names"],
-                candidate_uids=header["candidate_uids"],
-                times=None,
-                edges=[tuple(e) for e in header["edges"]],
-                edge_matrices=None,
-                dense_tables=(times, penalties),
-            )
-        return self._engine
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Drop this process's mapping (best-effort: live numpy views
-        over the buffer make ``mmap.close`` refuse, which is fine — the
-        mapping is released at process exit regardless)."""
-        self._engine = None
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (owner's duty, idempotent)."""
-        if self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass

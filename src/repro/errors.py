@@ -102,9 +102,9 @@ class PreemptedError(ReproError):
         self.checkpoint = checkpoint
 
     def __reduce__(self):
-        # Keep the exception picklable across ProcessPoolExecutor with
-        # the checkpoint intact (the default reduce replays ``args``,
-        # which holds the message, not the checkpoint).
+        # Keep the exception picklable with the checkpoint intact (the
+        # default reduce replays ``args``, which holds the message, not
+        # the checkpoint).
         return (type(self), (self.checkpoint,))
 
 

@@ -4,9 +4,9 @@ The search phase runs on a workstation CPU (paper §VI-A), so serving
 many (network, platform, mode, seed) scenarios is an embarrassingly
 parallel batch problem.  This package owns that layer:
 
-* :mod:`repro.runtime.campaign` — job descriptions, process-pool
-  sharding, and LUT resolution through the tiered cache (one-shot
-  batch runs).
+* :mod:`repro.runtime.campaign` — job descriptions, the fan-out of a
+  grid over forked worker processes, and LUT resolution through the
+  tiered cache (one-shot batch runs).
 * :mod:`repro.runtime.lutcache` — the tiered, sharded LUT cache:
   local ``platform/network`` shard directories chained with remote
   shard servers, so profiling cost is paid once per fleet.

@@ -1,13 +1,14 @@
 """Batched search campaigns: many (network x platform x mode x seed)
-jobs, sharded across worker processes.
+jobs, fanned out over forked worker processes.
 
 The paper runs one search at a time; serving "as many scenarios as you
 can imagine" means running whole grids of them — every Table II cell,
 multi-seed robustness sweeps, per-platform comparisons.  A
 :class:`Campaign` takes a list of :class:`CampaignJob` descriptions and
 
-* shards them across a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``workers=1`` runs inline, no process overhead),
+* hands them out one at a time to long-lived forked children
+  (:func:`~repro.utils.proc.fork_map`; ``workers=1`` runs inline, no
+  process overhead), each keeping its LUT memo across its jobs,
 * resolves profiled LUTs through the tiered shard cache
   (:mod:`repro.runtime.lutcache`: local ``platform/network`` shard
   directories, then remote shard servers), so re-running a campaign —
@@ -17,27 +18,25 @@ multi-seed robustness sweeps, per-platform comparisons.  A
   row or a full method comparison) plus cache/wall-clock accounting.
 
 Jobs carry platform *names* (resolved via :data:`PLATFORM_FACTORIES`
-in the worker), so a campaign pickles cheaply and runs identically in
-every process.
+in the worker), so a job ships cheaply to a fleet worker and runs
+identically in every process.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.backends.registry import Mode
 from repro.engine.lut import LatencyTable
 from repro.engine.optimizer import InferenceEngineOptimizer
-from repro.engine.pricing import SharedCostTables
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ConfigError
 from repro.hw import jetson_tx2, jetson_tx2_maxn, raspberry_pi3
 from repro.runtime.lutcache import LutKey, open_cache
+from repro.utils.proc import fork_map
 from repro.zoo import available_networks, build_network
 
 #: Platform factories by name — the unit a job ships across processes.
@@ -286,78 +285,10 @@ def load_or_profile_lut(
     return resolution.lut, resolution.from_cache
 
 
-#: Per-process map of *attached* shared-table segments by name — a
-#: worker maps each segment once and reuses the attachment (and its
-#: zero-copy engine) for every subsequent job.  Mappings are closed at
-#: interpreter exit; the segment itself is the owner's to unlink.
-_ATTACHED_TABLES: dict[str, SharedCostTables] = {}
-
-
-def _close_attached_tables() -> None:
-    for shared in _ATTACHED_TABLES.values():
-        shared.close()
-    _ATTACHED_TABLES.clear()
-
-
-def _attach_shared_tables(lut: LatencyTable, name: str) -> None:
-    """Point a LUT's pricing at the host's shared tensor segment.
-
-    Best-effort by design: if the segment is gone (the owner died or
-    already cleaned up) or describes a different table, the job simply
-    builds its own engine — bitwise the same prices, one extra private
-    copy.  Sharing is an optimization, never a correctness dependency.
-    """
-    view = lut.indexed()
-    if view.has_engine:
-        return  # memoized LUT already carries an engine (shared or not)
-    try:
-        shared = _ATTACHED_TABLES.get(name)
-        if shared is None:
-            shared = SharedCostTables.attach(name)
-            if not _ATTACHED_TABLES:
-                atexit.register(_close_attached_tables)
-            _ATTACHED_TABLES[name] = shared
-        view.adopt_engine(shared.engine())
-    except (OSError, ScheduleError, ValueError):
-        return
-
-
-#: Batches of *owned* segments still live in this process, unlinked at
-#: interpreter exit as a last resort (normal lifecycles unlink them in
-#: a ``finally`` the moment their worker pool drains).  ``unlink`` is
-#: idempotent, so the atexit sweep is free for well-behaved runs.
-_OWNED_TABLES: list[list[SharedCostTables]] = []
-_OWNER_PID = os.getpid()
-
-
-@atexit.register
-def _unlink_owned_tables() -> None:
-    if os.getpid() != _OWNER_PID:
-        # A forked worker inherited the registry; the segments belong
-        # to the parent and must outlive this child.
-        return
-    for batch in _OWNED_TABLES:
-        for shared in batch:
-            shared.close()
-            shared.unlink()
-    _OWNED_TABLES.clear()
-
-
-def release_shared_tables(exported: dict[LutKey, SharedCostTables]) -> None:
-    """Unmap and unlink a batch of owned segments (idempotent)."""
-    batch = list(exported.values())
-    for shared in batch:
-        shared.close()
-        shared.unlink()
-    if batch in _OWNED_TABLES:
-        _OWNED_TABLES.remove(batch)
-
-
 def execute_job(
     job: CampaignJob,
     cache_dir: str | Path | None = None,
     cache_remote: str | list[str] | None = None,
-    shared_tables: str | None = None,
     checkpoint_every: int | None = None,
     resume_text: str | None = None,
     on_checkpoint=None,
@@ -365,11 +296,7 @@ def execute_job(
 ) -> CampaignResult:
     """Run one job to completion (profiling, search, baselines).
 
-    Module-level so worker processes can import it by reference.
-    ``shared_tables`` names a :class:`SharedCostTables` segment the
-    campaign parent exported for this job's LUT key; when given, the
-    job prices against the host's single shared tensor copy instead of
-    building its own (bitwise-identical either way).
+    Campaign children and fleet workers both run jobs through it.
 
     The anytime arguments apply to the checkpointable kinds
     (``"search"`` and ``"multi-seed"``) and are ignored by the rest:
@@ -425,8 +352,6 @@ def execute_job(
         ).inc(kind=prior.kind)
     started = time.perf_counter()
     lut, from_cache = load_or_profile_lut(job, cache_dir, cache_remote)
-    if shared_tables is not None:
-        _attach_shared_tables(lut, shared_tables)
     if job.kind == "table2":
         payload = table2_row_from_lut(
             lut, episodes=job.episodes, seed=job.seed, kernel=job.kernel
@@ -492,7 +417,7 @@ def execute_job(
 
 
 class Campaign:
-    """A batch of search jobs sharded across worker processes.
+    """A batch of search jobs fanned out over forked worker processes.
 
     Parameters
     ----------
@@ -501,7 +426,7 @@ class Campaign:
         again — use distinct seeds for robustness sweeps).
     workers:
         Process count.  ``1`` (default) runs inline in this process;
-        ``N > 1`` shards over a :class:`ProcessPoolExecutor`.
+        ``N > 1`` forks min(N, jobs) children (see :meth:`run`).
     cache_dir:
         Directory for the local LUT cache tier; ``None`` disables the
         local tier.
@@ -536,49 +461,32 @@ class Campaign:
     def run(self) -> list[CampaignResult]:
         """Execute every job; results come back in job order.
 
-        With ``workers > 1`` the parent first exports each
-        cache-resolvable job LUT's dense pricing tensors into one
-        shared-memory segment per unique LUT key
-        (:meth:`export_shared_tables`), hands workers the segment
-        names, and unlinks every segment when the pool drains — even
-        when a worker crashes mid-job (``finally``), so a killed
-        worker never leaks ``/dev/shm`` space.
+        With ``workers > 1`` the jobs fan out over min(workers, jobs)
+        forked children (:func:`~repro.utils.proc.fork_map`), handed
+        out one at a time because cells differ widely in size; each
+        child keeps its LUT memo across the jobs it runs.  A job that
+        fails in a child raises :class:`~repro.errors.SearchError`
+        naming its label.  The fan-out runs inline wherever
+        :func:`~repro.utils.proc.can_fork` says no.
         """
         warm_texts = self._warm_texts()
-        if self.workers == 1:
-            return [
-                execute_job(
-                    job,
-                    self.cache_dir,
-                    self.cache_remote,
-                    warm_text=warm_texts[i],
-                )
-                for i, job in enumerate(self.jobs)
-            ]
-        max_workers = min(self.workers, len(self.jobs))
-        exported = self.export_shared_tables()
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        execute_job,
-                        job,
-                        self.cache_dir,
-                        self.cache_remote,
-                        self._segment_name(exported, job),
-                        warm_text=warm_texts[i],
-                    )
-                    for i, job in enumerate(self.jobs)
-                ]
-                return [f.result() for f in futures]
-        finally:
-            release_shared_tables(exported)
+        return fork_map(
+            lambda i: execute_job(
+                self.jobs[i],
+                self.cache_dir,
+                self.cache_remote,
+                warm_text=warm_texts[i],
+            ),
+            range(len(self.jobs)),
+            self.workers if self.workers > 1 else 0,
+            lambda i: f"campaign job {self.jobs[i].label}",
+        )
 
     def _warm_texts(self) -> list[str | None]:
         """Per-job warm prior specs, resolved once per scenario.
 
-        The campaign parent is the only place with store access (pool
-        workers receive the portable spec, exactly like fleet workers
+        The campaign parent is the only place with store access (its
+        children receive the portable spec, exactly like fleet workers
         receive it in a lease grant).  No store, or nothing usable in
         it, runs the job cold.
         """
@@ -609,38 +517,6 @@ class Campaign:
                     )
                 texts[i] = memo[key]
         return texts
-
-    def export_shared_tables(self) -> dict[LutKey, SharedCostTables]:
-        """Export one shared segment per unique cache-resolvable LUT key.
-
-        Only keys the cache can already answer are exported — a peek
-        miss means a worker is about to profile that LUT anyway (and
-        write it through the cache for the next campaign), so the
-        parent never profiles.  The caller owns the returned segments
-        and must :func:`release_shared_tables` them.
-        """
-        exported: dict[LutKey, SharedCostTables] = {}
-        cache = open_cache(self.cache_dir, self.cache_remote)
-        if cache is None:
-            return exported
-        for job in self.jobs:
-            key = LutKey.from_job(job)
-            if key in exported:
-                continue
-            lut = cache.peek(job)
-            if lut is None:
-                continue
-            exported[key] = SharedCostTables.create(lut.engine())
-        if exported:
-            _OWNED_TABLES.append(list(exported.values()))
-        return exported
-
-    @staticmethod
-    def _segment_name(
-        exported: dict[LutKey, SharedCostTables], job: CampaignJob
-    ) -> str | None:
-        shared = exported.get(LutKey.from_job(job))
-        return shared.name if shared is not None else None
 
 
 def grid(

@@ -474,12 +474,10 @@ class TieredLutCache:
         """Cached-only lookup: the job's LUT if any tier already holds
         it, else None — never profiles, never fills forward.
 
-        The campaign parent uses this to export shared pricing tables
-        *before* dispatching workers: only keys the cache can already
-        answer are worth exporting (a miss means a worker is about to
-        profile anyway, and the fresh entry lands in the cache for the
-        next campaign).  Soft-tier failures are swallowed — a peek must
-        never be louder than the resolution that follows it.
+        A surrogate warm-start prior reads its corpus jobs' LUTs
+        through it, so resolving a prior never profiles.  Soft-tier
+        failures are swallowed — a peek must never be louder than the
+        resolution that follows it.
         """
         key = LutKey.from_job(job)
         for tier in self.tiers:

@@ -517,7 +517,7 @@ class CampaignService:
         )
         self._m_leases_expired = m.counter(
             "repro_leases_expired_total",
-            "Leases expired by the reaper, by worker.",
+            "Leases expired (deadline missed or worker exited), by worker.",
         )
         self._m_store_hits = m.counter(
             "repro_store_hits_total",
@@ -1014,17 +1014,22 @@ class CampaignService:
 
         Raises :class:`LeaseExpiredError` (HTTP 409) when the lease is
         no longer active — including the deadline having passed before
-        the reaper noticed: :meth:`ResultStore.heartbeat_lease` flips
-        such a lease to ``expired`` itself, so the 409 is deterministic
-        regardless of reaper timing.  The 409 is also how a *revoked*
-        lease (``DELETE`` on a running job) tells its worker to stop.
+        the reaper noticed: the beat then expires the lease itself
+        through :meth:`_expire`, requeueing its jobs, so the 409 is
+        deterministic regardless of reaper timing.  The 409 is also how
+        a *revoked* lease (``DELETE`` on a running job) tells its
+        worker to stop.
 
         An optional body ``{"checkpoints": {job_id: text}}`` carries
         each job's latest encoded anytime checkpoint; every one owned
         by this lease is persisted (the store keeps only the newest
         per job key) and feeds the job's live ``progress`` events.
         """
-        lease = self.store.heartbeat_lease(lease_id, self.config.lease_ttl_s)
+        now = time.time()
+        lease = self.store.heartbeat_lease(lease_id, self.config.lease_ttl_s, now)
+        if lease is not None and lease.deadline_s < now:  # overdue, unextended
+            self._expire(lease)
+            lease = None
         if lease is None:
             raise LeaseExpiredError(
                 f"lease {lease_id!r} is not active; the job has been "
@@ -1274,8 +1279,20 @@ class CampaignService:
             self._enqueue(record)
             self._m_requeued.inc()
 
+    def _expire(self, lease) -> None:
+        """Expire one active lease and requeue its jobs.
+
+        The only writer of ``expired``: the reaper, a late heartbeat,
+        an exited local worker and the shutdown drain all come here.
+        The store's active-only guard settles a race with a result
+        delivery — exactly one of the two ends the lease.
+        """
+        expired = self.store.finish_lease(lease.lease_id, LEASE_EXPIRED)
+        if expired is not None:
+            self._requeue_expired(expired)
+
     def _requeue_expired(self, lease) -> None:
-        """React to one lease the reaper just expired.
+        """React to one lease :meth:`_expire` just expired.
 
         Every job of the lease (one, or a whole batch) is requeued at
         its original priority with the attempt budget spent — see
@@ -1300,8 +1317,8 @@ class CampaignService:
         and replace local worker processes that exited."""
         while True:
             await asyncio.sleep(self.config.lease_check_s)
-            for lease in self.store.expire_due_leases():
-                self._requeue_expired(lease)
+            for lease in self.store.due_leases():
+                self._expire(lease)
             self._reap_local_workers()
             # Checkpoint retention: drop snapshots nothing refreshed
             # for checkpoint_ttl_s (their jobs went terminal on some
@@ -1372,12 +1389,10 @@ class CampaignService:
     def _expire_worker_leases(self, worker_id: str) -> None:
         """Expire every active lease of a worker that will never
         heartbeat or deliver again, requeueing its jobs through
-        :meth:`_requeue_expired` (retry budget included)."""
+        :meth:`_expire` (retry budget included)."""
         for lease in self.store.active_leases():
             if lease.worker == worker_id:
-                expired = self.store.finish_lease(lease.lease_id, LEASE_EXPIRED)
-                if expired is not None:
-                    self._requeue_expired(expired)
+                self._expire(lease)
 
     async def _stop_local_workers(self) -> None:
         """SIGTERM every local worker process and reap it (SIGKILL past
@@ -1529,8 +1544,8 @@ class CampaignService:
         # _requeue_expired's closing path).
         deadline = time.monotonic() + self.config.drain_timeout_s
         while self.store.active_leases() and time.monotonic() < deadline:
-            for lease in self.store.expire_due_leases():
-                self._requeue_expired(lease)
+            for lease in self.store.due_leases():
+                self._expire(lease)
             self._reap_local_workers()
             await asyncio.sleep(0.05)
         # Past the drain window: release what is left and cancel the

@@ -794,12 +794,12 @@ class ResultStore:
     def heartbeat_lease(
         self, lease_id: str, ttl_s: float, now: float | None = None
     ) -> LeaseRecord | None:
-        """Extend an active lease's deadline; None when not extendable.
+        """Extend an active lease's deadline to ``now + ttl_s``.
 
-        A heartbeat arriving *after* the deadline flips the lease to
-        ``expired`` right here (instead of waiting for the reaper), so
-        "heartbeat after expiry answers 409" holds deterministically —
-        the worker learns it lost the lease on its very next beat.
+        Returns None when the lease is not active.  A lease already past
+        its deadline comes back unextended and unwritten (its
+        ``deadline_s`` before ``now``): expiring it and requeueing its
+        jobs is the caller's, on the one path every expiry takes.
         """
         now = time.time() if now is None else now
         with self._lock:
@@ -809,20 +809,13 @@ class ResultStore:
             ).fetchone()
             if row is None or row[0] != LEASE_ACTIVE:
                 return None
-            if row[1] < now:
+            if row[1] >= now:
                 self._conn.execute(
-                    "UPDATE leases SET state = ?, finished_s = ? "
+                    "UPDATE leases SET deadline_s = ?, heartbeats = heartbeats + 1 "
                     "WHERE lease_id = ?",
-                    (LEASE_EXPIRED, now, lease_id),
+                    (now + ttl_s, lease_id),
                 )
                 self._conn.commit()
-                return None
-            self._conn.execute(
-                "UPDATE leases SET deadline_s = ?, heartbeats = heartbeats + 1 "
-                "WHERE lease_id = ?",
-                (now + ttl_s, lease_id),
-            )
-            self._conn.commit()
         return self.get_lease(lease_id)
 
     def finish_lease(
@@ -847,12 +840,9 @@ class ResultStore:
                 return None
         return self.get_lease(lease_id)
 
-    def expire_due_leases(self, now: float | None = None) -> list[LeaseRecord]:
-        """Flip every active lease past its deadline to ``expired``.
-
-        Returns the freshly expired leases — the reaper requeues their
-        jobs (bounded by the retry budget).
-        """
+    def due_leases(self, now: float | None = None) -> list[LeaseRecord]:
+        """Every active lease past its deadline; the reaper expires each
+        one (and requeues its jobs, bounded by the retry budget)."""
         now = time.time() if now is None else now
         with self._lock:
             rows = self._conn.execute(
@@ -860,18 +850,7 @@ class ResultStore:
                 "WHERE state = ? AND deadline_s < ?",
                 (LEASE_ACTIVE, now),
             ).fetchall()
-            if rows:
-                self._conn.execute(
-                    "UPDATE leases SET state = ?, finished_s = ? "
-                    "WHERE state = ? AND deadline_s < ?",
-                    (LEASE_EXPIRED, now, LEASE_ACTIVE, now),
-                )
-                self._conn.commit()
-        expired = [LeaseRecord(*row) for row in rows]
-        for record in expired:
-            record.state = LEASE_EXPIRED
-            record.finished_s = now
-        return expired
+        return [LeaseRecord(*row) for row in rows]
 
     def active_leases(self) -> list[LeaseRecord]:
         """Every active lease, oldest first."""

@@ -2,6 +2,8 @@
 
 A synthetic LUT lets the search/solver tests control the optimization
 landscape exactly (and cheaply) instead of going through profiling.
+:func:`stop_loop_thread` ends the live services the runtime tests run
+on a background event-loop thread.
 """
 
 from __future__ import annotations
@@ -307,3 +309,18 @@ def oracle_profile(graph, space, platform, seed: int = 0, repeats: int = 50):
         simulated_board_ms=board_ms,
     )
     return lut, report
+
+
+def stop_loop_thread(loop, thread) -> None:
+    """Stop ``loop``, which runs forever on ``thread``; join the thread,
+    then the loop's executor threads, and close the loop.
+
+    No test may leave a thread behind: while one lives, every later
+    fork fan-out in the process runs in-process
+    (:func:`repro.utils.proc.can_fork`).
+    """
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(10)
+    assert not thread.is_alive(), "event loop did not stop"
+    loop.run_until_complete(loop.shutdown_default_executor())
+    loop.close()

@@ -232,7 +232,6 @@ class TestCheckpointCodec:
             )
 
     def test_preempted_error_survives_pickling(self):
-        # The local pool raises it inside a ProcessPoolExecutor worker.
         import pickle
 
         lut = synthetic_chain_lut(4, 2, seed=0)

@@ -32,6 +32,7 @@ from repro.runtime.metrics import parse_samples
 from repro.runtime.service import CampaignService
 from repro.runtime.store import job_key
 from repro.runtime.worker import FleetWorker, WorkerConfig
+from tests.helpers import stop_loop_thread
 
 #: Long enough (~2 s at the reference backend's episode rate) that the
 #: job is reliably mid-flight when the test preempts or kills it.
@@ -79,8 +80,8 @@ class LiveAnytime:
                 self.service.shutdown(), self.loop
             ).result(60)
         finally:
-            self.loop.call_soon_threadsafe(self.loop.stop)
-            self._thread.join(10)
+            stop_loop_thread(self.loop, self._thread)
+            self.client.close()
 
     def raw(self, method: str, path: str, body=None):
         conn = http.client.HTTPConnection(

@@ -22,7 +22,6 @@ from repro.runtime.campaign import (
     grid,
     load_or_profile_lut,
     lut_cache_path,
-    release_shared_tables,
 )
 
 EPISODES = 120  # small but >= the 20-episode floor of the paper schedule
@@ -161,8 +160,7 @@ class TestCampaign:
         parallel = Campaign(jobs, workers=2, cache_dir=tmp_path).run()
         for s, p in zip(serial, parallel):
             assert s.job == p.job
-            assert s.payload.qsdnn_ms == p.payload.qsdnn_ms
-            assert s.payload.rs_ms == p.payload.rs_ms
+            assert s.payload == p.payload
         assert all(r.lut_from_cache for r in parallel)
 
 
@@ -195,139 +193,97 @@ class TestLutMemo:
         assert a is not b  # fresh profile every call, as documented
 
 
-class TestSharedTables:
-    def test_one_segment_per_unique_lut_key(self, tmp_path):
-        jobs = grid(
-            ["fig1_toy"], modes=["cpu", "gpgpu"], seeds=[0, 1],
-            episodes=EPISODES,
-        )
-        Campaign(jobs, workers=1, cache_dir=tmp_path).run()  # warm cache
-        camp = Campaign(jobs, workers=2, cache_dir=tmp_path)
-        exported = camp.export_shared_tables()
-        try:
-            # 4 jobs, but (mode x seed) gives 4 distinct LUT keys here;
-            # duplicate-key jobs must share, so re-listing the same
-            # jobs twice still exports the same segments.
-            assert len(exported) == 4
-            doubled = Campaign(
-                jobs + jobs, workers=2, cache_dir=tmp_path
-            ).export_shared_tables()
-            try:
-                assert len(doubled) == len(exported)
-            finally:
-                release_shared_tables(doubled)
-        finally:
-            release_shared_tables(exported)
+class TestForkedCampaign:
+    """``Campaign.run(workers > 1)`` forks; each test pins the fork in
+    a fresh interpreter, where no other thread keeps it in-process."""
 
-    def test_peek_miss_exports_nothing(self, tmp_path):
-        jobs = grid(["fig1_toy"], modes=["cpu"], episodes=EPISODES)
-        camp = Campaign(jobs, workers=2, cache_dir=tmp_path)
-        assert camp.export_shared_tables() == {}  # cold cache: no export
-        camp_nocache = Campaign(jobs, workers=2)
-        assert camp_nocache.export_shared_tables() == {}
-
-    def test_job_with_shared_segment_prices_bitwise(self, tmp_path):
-        job = CampaignJob(
-            network="fig1_toy", mode="gpgpu", episodes=EPISODES, kind="search"
-        )
-        plain = execute_job(job, tmp_path)
-        camp = Campaign([job], workers=2, cache_dir=tmp_path)
-        exported = camp.export_shared_tables()
-        try:
-            (shared,) = exported.values()
-            from repro.runtime.campaign import _ATTACHED_TABLES, _LUT_MEMO
-
-            _LUT_MEMO.clear()  # force a fresh attach path in-process
-            result = execute_job(job, tmp_path, None, shared.name)
-            assert shared.name in _ATTACHED_TABLES
-            assert result.payload.best_ms == plain.payload.best_ms
-            assert result.payload.curve_ms == plain.payload.curve_ms
-        finally:
-            release_shared_tables(exported)
-
-    def test_bogus_segment_name_degrades_to_private_engine(self, tmp_path):
-        job = CampaignJob(
-            network="fig1_toy", mode="cpu", episodes=EPISODES, kind="search"
-        )
-        plain = execute_job(job, tmp_path)
-        from repro.runtime.campaign import _LUT_MEMO
-
-        _LUT_MEMO.clear()
-        result = execute_job(job, tmp_path, None, "repro-gone-segment")
-        assert result.payload.best_ms == plain.payload.best_ms
-
-    def test_parallel_run_unlinks_all_segments(self, tmp_path):
-        jobs = grid(
-            ["fig1_toy"], modes=["cpu", "gpgpu"], episodes=EPISODES
-        )
-        Campaign(jobs, workers=1, cache_dir=tmp_path).run()
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
-        Campaign(jobs, workers=2, cache_dir=tmp_path).run()
-        if before is not None:
-            assert set(os.listdir("/dev/shm")) - before == set()
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="needs a POSIX shm mount"
-    )
-    def test_killed_worker_leaks_no_segments(self, tmp_path):
-        """SIGKILL a pool worker mid-job: the campaign's finally must
-        still unlink every exported segment, with no resource_tracker
-        leak warnings at interpreter exit."""
-        script = textwrap.dedent(
-            """
-            import multiprocessing, os, signal, sys, threading, time
-
-            from repro.runtime.campaign import Campaign, grid
-
-            cache = sys.argv[1]
-            warm = grid(["fig1_toy"], modes=["cpu"], episodes=120)
-            Campaign(warm, workers=1, cache_dir=cache).run()
-
-            before = set(os.listdir("/dev/shm"))
-            jobs = grid(
-                ["fig1_toy"], modes=["cpu"], episodes=200_000,
-                kind="multi-seed", seeds_per_job=8,
-            )
-            camp = Campaign(jobs, workers=2, cache_dir=cache)
-            errors = []
-
-            def run():
-                try:
-                    camp.run()
-                except Exception as error:
-                    errors.append(error)
-
-            thread = threading.Thread(target=run)
-            thread.start()
-            deadline = time.time() + 30
-            victims = []
-            while time.time() < deadline and not victims:
-                victims = multiprocessing.active_children()
-                time.sleep(0.05)
-            assert victims, "no pool worker observed"
-            os.kill(victims[0].pid, signal.SIGKILL)
-            thread.join(120)
-            assert not thread.is_alive(), "campaign did not unwind"
-            assert errors, "expected BrokenProcessPool from the kill"
-            leaked = set(os.listdir("/dev/shm")) - before
-            assert not leaked, f"segments leaked: {leaked}"
-            print("CLEAN-EXIT")
-            """
-        )
+    @staticmethod
+    def _run_script(body: str, tmp_path) -> str:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
+            [sys.executable, "-c", textwrap.dedent(body), str(tmp_path)],
             capture_output=True,
             text=True,
             timeout=240,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "CLEAN-EXIT" in proc.stdout
-        assert "leaked" not in proc.stderr  # resource_tracker warnings
-        assert "resource_tracker" not in proc.stderr
+        return proc.stdout
+
+    def test_killed_child_names_its_job(self, tmp_path):
+        """A child SIGKILLed mid-job: the campaign raises naming that
+        job's label and leaves no child behind."""
+        out = self._run_script(
+            """
+            import multiprocessing, os, signal, sys
+
+            from repro.errors import SearchError
+            from repro.runtime import campaign
+
+            jobs = campaign.grid(
+                ["fig1_toy"], modes=["cpu", "gpgpu"], episodes=120
+            )
+            execute = campaign.execute_job
+
+            def killing(job, *args, **kwargs):
+                if job.mode == "gpgpu":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return execute(job, *args, **kwargs)
+
+            campaign.execute_job = killing
+            try:
+                campaign.Campaign(jobs, workers=2, cache_dir=sys.argv[1]).run()
+            except SearchError as error:
+                print(error)
+            assert multiprocessing.active_children() == []
+            """,
+            tmp_path,
+        )
+        assert (
+            "campaign job fig1_toy/jetson_tx2/gpgpu/seed0 exited with code -9"
+            in out
+        )
+
+    def test_children_keep_their_lut_memo(self, tmp_path):
+        """Two children, four jobs on one LUT key: a child reads the
+        LUT from disk for its first job and from its memo after."""
+        out = self._run_script(
+            """
+            import os, sys
+
+            from repro.runtime import campaign
+
+            job = campaign.CampaignJob(
+                network="fig1_toy", mode="cpu", episodes=120
+            )
+            campaign.Campaign([job], cache_dir=sys.argv[1]).run()  # warm
+            campaign._LUT_MEMO.clear()
+            resolve = campaign.load_or_profile_lut
+
+            def logged(job, *args):
+                memo = len(campaign._LUT_MEMO)
+                lut, cached = resolve(job, *args)
+                os.write(1, f"{os.getpid()} {memo} {cached}\\n".encode())
+                return lut, cached
+
+            campaign.load_or_profile_lut = logged
+            campaign.Campaign(
+                [job] * 4, workers=2, cache_dir=sys.argv[1]
+            ).run()
+            """,
+            tmp_path,
+        )
+        seen: dict[str, list[int]] = {}
+        for line in out.split("\n"):
+            if line:
+                pid, memo, cached = line.split()
+                assert cached == "True"
+                seen.setdefault(pid, []).append(int(memo))
+        assert len(seen) == 2 and sum(map(len, seen.values())) == 4
+        for sizes in seen.values():
+            assert sizes == [0] + [1] * (len(sizes) - 1)
 
 
 class TestAnalysisWiring:

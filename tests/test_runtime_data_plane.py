@@ -118,8 +118,8 @@ class TestRecordEviction:
             elif op == "fail" and running:
                 _error_delivery(service, running[pick % len(running)])
             elif op == "expire" and running:
-                for lease in service.store.expire_due_leases(now=FAR_FUTURE):
-                    service._requeue_expired(lease)
+                for lease in service.store.due_leases(now=FAR_FUTURE):
+                    service._expire(lease)
 
     def test_visits_o_excess_records_when_the_oldest_are_finished(
         self, monkeypatch
@@ -787,12 +787,15 @@ class TestLeasesActiveGauge:
         assert check() == 2
         service.heartbeat(third.lease_id)
         assert check() == 2
-        for lease in table.expire_due_leases(now=FAR_FUTURE):  # expiry
-            service._requeue_expired(lease)
+        for lease in table.due_leases(now=FAR_FUTURE):  # expiry
+            service._expire(lease)
         assert check() == 0
         (late,) = service.lease_batch(info.id)
-        assert table.heartbeat_lease(late.lease_id, 30.0, now=FAR_FUTURE) is None
+        table.heartbeat_lease(late.lease_id, -1.0)  # its deadline passes
+        with pytest.raises(LeaseExpiredError):
+            service.heartbeat(late.lease_id)
         assert check() == 0  # a beat past the deadline expires the lease
+        assert late.state == "queued"  # ... and requeues its job
         (delivered,) = service.lease_batch(info.id)
         assert check() == 1
         _error_delivery(service, delivered)  # delivery
@@ -857,7 +860,7 @@ class TestActiveLeaseIndex:
             steps = [
                 _vm_steps(store, service.metrics.render),
                 _vm_steps(store, service.stats),
-                _vm_steps(store, lambda: store.expire_due_leases(now=10.0)),
+                _vm_steps(store, lambda: store.due_leases(now=10.0)),
                 _vm_steps(store, store.release_active_leases),
             ]
             store.close()

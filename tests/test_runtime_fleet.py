@@ -58,6 +58,7 @@ from repro.runtime.worker import (
     encode_outcome,
     run_worker,
 )
+from tests.helpers import stop_loop_thread
 
 EPISODES = 150
 
@@ -184,23 +185,36 @@ class TestLeaseLifecycle:
         assert after["deadline_s"] > before
 
     def test_heartbeat_after_expiry_raises_conflict(self):
-        """Satellite case: a beat past the deadline answers 409 —
-        deterministically, without waiting for the reaper."""
-        service = _fleet_service(lease_ttl_s=30.0)
-        info = service.register_worker("host")
-        record = service.submit(_toy_job())
-        service.lease_batch(info.id)
-        # Flip the lease by beating *late* (explicit now), not by
-        # sleeping: heartbeat_lease itself detects the missed deadline.
-        late = service.store.heartbeat_lease(
-            record.lease_id, service.config.lease_ttl_s, now=FAR_FUTURE
-        )
-        assert late is None
-        assert (
-            service.store.get_lease(record.lease_id).state == LEASE_EXPIRED
-        )
+        """A beat past the deadline, before the reaper's next sweep,
+        answers 409 and requeues the job there and then.  The stalled
+        worker's late delivery never lands; the requeued attempt's
+        does."""
+        service, info, record = _leased(lease_ttl_s=0.2)
+        late = record.lease_id
+        time.sleep(0.3)
+        with pytest.raises(LeaseExpiredError):
+            service.heartbeat(late)
+        assert record.state == "queued" and record.lease_id is None
+        assert service.store.get_lease(late).state == LEASE_EXPIRED
+        assert info.expired == 1
+        assert service.store.active_leases() == []
+        outcome = encode_outcome(execute_job(record.job))
+        delivery = {"results": [dict(outcome, job_id=record.id)]}
+        with pytest.raises(LeaseExpiredError):
+            service.finish_remote_batch(late, delivery)
+        assert service.store.get(record.job) is None
+        assert service.lease_batch(info.id) == [record]
+        assert record.attempts == 2
+        status, _ = service.finish_remote_batch(record.lease_id, delivery)
+        assert status == 200 and record.state == "done"
+
+    def test_late_heartbeat_past_the_budget_fails_the_job(self):
+        service, _, record = _leased(lease_ttl_s=0.2, max_lease_retries=1)
+        time.sleep(0.3)
         with pytest.raises(LeaseExpiredError):
             service.heartbeat(record.lease_id)
+        assert record.state == "failed"
+        assert "retry budget exhausted" in record.error
 
     def test_heartbeat_unknown_lease_raises(self):
         with pytest.raises(LeaseExpiredError):
@@ -247,10 +261,10 @@ class TestResultSubmission:
     def test_result_on_expired_lease_conflicts(self):
         service, _, record = _leased()
         lease_id = record.lease_id
-        expired = service.store.expire_due_leases(now=FAR_FUTURE)
+        expired = service.store.due_leases(now=FAR_FUTURE)
         assert [lease.lease_id for lease in expired] == [lease_id]
         for lease in expired:
-            service._requeue_expired(lease)
+            service._expire(lease)
         with pytest.raises(LeaseExpiredError):
             service.finish_remote_batch(
                 lease_id, self._delivery(record, {"error": "too late"})
@@ -307,10 +321,9 @@ class TestResultSubmission:
 
 class TestExpiryAndRetryBudget:
     def _expire_current_lease(self, service):
-        expired = service.store.expire_due_leases(now=FAR_FUTURE)
+        expired = service.store.due_leases(now=FAR_FUTURE)
         assert len(expired) == 1
-        service._requeue_expired(expired[0])
-        return expired[0]
+        service._expire(expired[0])
 
     def test_expired_lease_requeues_at_same_priority(self):
         service = _fleet_service()
@@ -358,8 +371,9 @@ class TestExpiryAndRetryBudget:
         # A stale reaper pass over the (already completed) lease must
         # not touch the done record.
         stale = service.store.get_lease(record.lease_id)
-        service._requeue_expired(stale)
+        service._expire(stale)
         assert record.state == "done"
+        assert service.store.get_lease(record.lease_id).state == LEASE_COMPLETED
 
     def test_expiry_during_shutdown_cancels(self):
         service = _fleet_service()
@@ -391,13 +405,21 @@ class TestStoreLeasePersistence:
         assert store.active_leases() == []
         assert store.get_lease("l1").state == LEASE_COMPLETED
 
-    def test_expire_due_only_flips_overdue(self):
+    def test_due_leases_lists_only_overdue_and_writes_nothing(self):
         store = ResultStore(":memory:")
         store.create_lease("l1", "job-1", "key", "w1", ttl_s=30.0, now=0.0)
         store.create_lease("l2", "job-2", "key2", "w1", ttl_s=90.0, now=0.0)
-        expired = store.expire_due_leases(now=60.0)
-        assert [lease.lease_id for lease in expired] == ["l1"]
+        due = store.due_leases(now=60.0)
+        assert [lease.lease_id for lease in due] == ["l1"]
+        assert store.get_lease("l1").state == LEASE_ACTIVE
         assert store.get_lease("l2").state == LEASE_ACTIVE
+
+    def test_late_heartbeat_is_reported_not_written(self):
+        store = ResultStore(":memory:")
+        store.create_lease("l1", "job-1", "key", "w1", ttl_s=30.0, now=0.0)
+        late = store.heartbeat_lease("l1", 30.0, now=60.0)
+        assert late.state == LEASE_ACTIVE and late.deadline_s == 30.0
+        assert store.get_lease("l1") == late
 
 
 class LiveFleet:
@@ -461,8 +483,8 @@ class LiveFleet:
                 self.service.shutdown(), self.loop
             ).result(60)
         finally:
-            self.loop.call_soon_threadsafe(self.loop.stop)
-            self._thread.join(10)
+            stop_loop_thread(self.loop, self._thread)
+            self.client.close()
 
 
 def _toy_body(**overrides):
@@ -929,8 +951,8 @@ class TestJobsRunningGauge:
         assert check() == 2
         assert service.cancel(c.id)
         assert check() == 2
-        for lease in service.store.expire_due_leases(now=FAR_FUTURE):
-            service._requeue_expired(lease)
+        for lease in service.store.due_leases(now=FAR_FUTURE):
+            service._expire(lease)
         assert a.state == b.state == "queued"
         assert check() == 0
         (leased,) = service.lease_batch(info.id)
@@ -998,9 +1020,9 @@ class TestBatchLease:
         """ISSUE edge: a crashed worker holding a multi-job batch —
         every job requeued exactly once, then completes bitwise."""
         service, info, records, _ = self._batched()
-        expired = service.store.expire_due_leases(now=FAR_FUTURE)
+        expired = service.store.due_leases(now=FAR_FUTURE)
         assert len(expired) == 1  # one lease covered the whole batch
-        service._requeue_expired(expired[0])
+        service._expire(expired[0])
         for record in records:
             assert record.state == "queued"
             assert record.worker is None and record.lease_id is None
@@ -1126,8 +1148,8 @@ class TestBatchLease:
     def test_batch_after_expiry_conflicts(self):
         service, _, records, _ = self._batched(n=2)
         lease_id = records[0].lease_id
-        for lease in service.store.expire_due_leases(now=FAR_FUTURE):
-            service._requeue_expired(lease)
+        for lease in service.store.due_leases(now=FAR_FUTURE):
+            service._expire(lease)
         with pytest.raises(LeaseExpiredError):
             service.finish_remote_batch(
                 lease_id, {"results": [self._outcome(records[0])]}
@@ -1548,8 +1570,8 @@ TERMINAL = ("done", "failed", "cancelled")
 
 
 def _expire_all(service):
-    for lease in service.store.expire_due_leases(now=FAR_FUTURE):
-        service._requeue_expired(lease)
+    for lease in service.store.due_leases(now=FAR_FUTURE):
+        service._expire(lease)
 
 
 def _queued_cancel():

@@ -28,6 +28,7 @@ from repro.runtime.service import (
     jobs_from_body,
 )
 from repro.utils.stats import running_min
+from tests.helpers import stop_loop_thread
 
 EPISODES = 150
 
@@ -71,8 +72,8 @@ class LiveService:
                 self.service.shutdown(), self.loop
             ).result(60)
         finally:
-            self.loop.call_soon_threadsafe(self.loop.stop)
-            self._thread.join(10)
+            stop_loop_thread(self.loop, self._thread)
+            self.client.close()
 
 
 def _toy_body(**overrides):

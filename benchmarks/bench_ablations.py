@@ -122,8 +122,8 @@ def test_ablation_learning_rate(benchmark, learning_rate, tx2):
     mean, _ = benchmark.pedantic(run, rounds=1, iterations=1)
     from repro.baselines import pbqp_solve
 
-    near_optimal = pbqp_solve(lut).best_ms
-    assert mean <= near_optimal * 2.5
+    optimum = pbqp_solve(lut).best_ms
+    assert mean <= optimum * 2.5
 
 
 @pytest.mark.parametrize("discount", [0.5, 0.9, 0.99])

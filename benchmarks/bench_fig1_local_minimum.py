@@ -6,7 +6,7 @@ intermediate implementation (red) in favour of the globally fastest path
 
 * on a hand-built LUT where the trap provably exists, and
 * on the real profiled toy network, where QS-DNN must match the
-  brute-force optimum of the full design space.
+  exact optimum of the full design space.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from repro import Mode
 from repro.analysis._cache import cached_lut
-from repro.baselines import brute_force, greedy_per_layer
+from repro.baselines import greedy_per_layer, pbqp_solve
 from repro.core import QSDNNSearch, SearchConfig
 from repro.utils.tables import AsciiTable
 
@@ -34,7 +34,7 @@ def test_fig1_trap_lut(benchmark, emit):
 
     rl = benchmark.pedantic(run, rounds=1, iterations=1)
     greedy = greedy_per_layer(lut)
-    exact = brute_force(lut)
+    exact = pbqp_solve(lut)
 
     table = AsciiTable(
         ["method", "path", "total (ms)"],
@@ -54,21 +54,20 @@ def test_fig1_trap_lut(benchmark, emit):
 
 
 def test_fig1_real_toy_network(benchmark, tx2, emit):
-    """On the profiled toy net, QS-DNN matches exhaustive enumeration."""
+    """On the profiled toy net, QS-DNN matches the exact optimum."""
     lut = cached_lut("fig1_toy", Mode.GPGPU, tx2, seed=SEED)
 
     def run():
         return QSDNNSearch(lut, SearchConfig(episodes=400, seed=SEED)).run()
 
     rl = benchmark.pedantic(run, rounds=1, iterations=1)
-    exact = brute_force(lut)
+    exact = pbqp_solve(lut)
     greedy = greedy_per_layer(lut)
     emit(
         "fig1_real_toy",
         (
-            f"fig1_toy GPGPU: QS-DNN {rl.best_ms:.3f} ms == brute-force "
-            f"{exact.best_ms:.3f} ms over {exact.episodes} configurations "
-            f"(greedy-per-layer: {greedy.best_ms:.3f} ms)"
+            f"fig1_toy GPGPU: QS-DNN {rl.best_ms:.3f} ms == exact optimum "
+            f"{exact.best_ms:.3f} ms (greedy-per-layer: {greedy.best_ms:.3f} ms)"
         ),
     )
     assert rl.best_ms <= exact.best_ms * 1.001

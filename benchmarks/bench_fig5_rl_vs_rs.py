@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro import Mode
 from repro.analysis._cache import cached_lut
 from repro.analysis.curves import fig5_rl_vs_rs
-from repro.baselines import chain_dp
+from repro.baselines import pbqp_solve
 from repro.utils.tables import AsciiTable
 
 from benchmarks.conftest import SEED
@@ -54,7 +54,7 @@ def test_fig5_rl_vs_rs(benchmark, tx2, emit):
     assert data.ratio_at(50) >= 1.5, "RS should clearly trail by 50 episodes"
     assert data.ratio_at(350) >= 1.8, "RS ~2x worse after 350 episodes"
     # RL near convergence after 350: within 25% of the exact optimum.
-    optimum = chain_dp(lut).best_ms
+    optimum = pbqp_solve(lut).best_ms
     idx350 = BUDGETS.index(350)
     assert data.rl_mean[idx350] <= optimum * 1.25
     # Variance shrinks as the search converges (paper: "variance reduces

@@ -100,14 +100,14 @@ def test_lenet_gpgpu_schedule_is_pure_cpu(benchmark, tx2, emit):
 def test_win_matrix_mobilenet(benchmark, tx2, emit):
     """Per-layer-kind library wins — the mechanism behind §VI-A."""
     from repro.analysis.win_matrix import render_win_matrix, win_matrix
-    from repro.baselines import chain_dp
+    from repro.baselines import pbqp_solve
     from repro.zoo import build_network
 
     lut = cached_lut("mobilenet_v1", Mode.GPGPU, tx2, seed=SEED)
     graph = build_network("mobilenet_v1")
 
     def run():
-        optimum = chain_dp(lut)
+        optimum = pbqp_solve(lut)
         return win_matrix(lut, optimum.best_assignments, graph)
 
     matrix = benchmark.pedantic(run, rounds=1, iterations=1)

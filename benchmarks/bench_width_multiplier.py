@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro import Mode, jetson_tx2
 from repro.backends import gpgpu_space
-from repro.baselines import best_single_library, chain_dp
+from repro.baselines import best_single_library, pbqp_solve
 from repro.engine import InferenceEngineOptimizer
 from repro.hw.processor import ProcessorKind
 from repro.utils.tables import AsciiTable
@@ -31,7 +31,7 @@ def test_width_multiplier_sweep(benchmark, tx2, emit):
                 graph, tx2, mode=Mode.GPGPU, seed=SEED
             )
             lut = optimizer.profile()
-            optimum = chain_dp(lut)
+            optimum = pbqp_solve(lut)
             bsl = best_single_library(lut)
             gpu_layers = sum(
                 1

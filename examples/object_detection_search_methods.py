@@ -10,9 +10,9 @@ PBQP of Anderson & Gregg):
 * all-Vanilla and Best Single Library (the no-search baselines),
 * greedy per-layer selection (the Fig. 1 trap),
 * Random Search at the same episode budget as QS-DNN,
-* PBQP (the exact-ish optimization-based competitor),
+* PBQP (the optimization-based competitor, solved exactly here),
 * QS-DNN (this paper),
-* the exact optimum (chain DP — Tiny-YOLO is a chain).
+* the exact optimum (PBQP's answer, once the solver proves it).
 
 Run:  python examples/object_detection_search_methods.py
 """

@@ -14,7 +14,11 @@ The acceptance script for the service layer (CI runs it):
    **bitwise-equal** (same deterministic LUT, same search config);
 4. re-submit (must be an instant store cache hit) and query
    ``/results``;
-5. stop the service with ``POST /shutdown`` and check a clean exit.
+5. stop the service with ``POST /shutdown`` and check a clean exit;
+6. start ``repro serve`` again on the same ``--store``: re-submitting
+   the scenario must be a store hit, a new scenario must reach ``done``
+   within 60 s (its lease id must not collide with the first process's
+   rows in the lease table), and the shutdown must exit 0.
 
 Usage::
 
@@ -24,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -67,6 +72,35 @@ def _repro(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
     return result
 
 
+@contextlib.contextmanager
+def _served(tmp_path: Path):
+    """``repro serve`` as a real subprocess on the smoke's store and LUT
+    cache; yields ``(process, url)`` and kills a process still running
+    on the way out."""
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--workers", "1",
+            "--store", str(tmp_path / "results.sqlite"),
+            "--cache-dir", str(tmp_path / "luts"),
+        ],  # fmt: skip
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=_env(),
+        cwd=REPO_ROOT,
+    )
+    try:
+        banner = server.stdout.readline()
+        assert "serving on http://" in banner, banner
+        yield server, banner.split()[2]
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(10)
+            print(server.stdout.read())
+
+
 def main() -> int:
     """Run the smoke; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -75,24 +109,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
         tmp_path = Path(tmp)
-        server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--workers", "1",
-                "--store", str(tmp_path / "results.sqlite"),
-                "--cache-dir", str(tmp_path / "luts"),
-            ],  # fmt: skip
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=_env(),
-            cwd=REPO_ROOT,
-        )
-        try:
-            banner = server.stdout.readline()
-            assert "serving on http://" in banner, banner
-            url = banner.split()[2]
-            print(f"[1/5] service up at {url}")
+        with _served(tmp_path) as (server, url):
+            print(f"[1/6] service up at {url}")
 
             record_path = tmp_path / "record.json"
             submit = _repro(
@@ -117,7 +135,7 @@ def main() -> int:
             assert record["state"] == "done", record
             served_best = record["best_ms"]
             print(
-                f"[2/5] {job_id} done: best_ms={served_best!r}, "
+                f"[2/6] {job_id} done: best_ms={served_best!r}, "
                 f"{len(checkpoints)} monotone checkpoints"
             )
 
@@ -136,7 +154,7 @@ def main() -> int:
                 f"service best_ms {served_best!r} != local repro search "
                 f"{local_best!r} (must be bitwise-equal)"
             )
-            print(f"[3/5] bitwise-equal to local repro search: {local_best!r}")
+            print(f"[3/6] bitwise-equal to local repro search: {local_best!r}")
 
             again = _repro(
                 "submit", "--url", url,
@@ -149,19 +167,42 @@ def main() -> int:
             client = ServiceClient(url, timeout=30)
             rows = client.results(network=NETWORK, mode=MODE)
             assert len(rows) == 1 and rows[0]["best_ms"] == local_best
-            print("[4/5] resubmission was a store cache hit; /results agrees")
+            print("[4/6] resubmission was a store cache hit; /results agrees")
 
             client.shutdown()
             code = server.wait(timeout=60)
             assert code == 0, f"serve exited {code}"
-            print("[5/5] graceful shutdown, exit 0")
-            print("serve smoke OK")
-            return 0
-        finally:
-            if server.poll() is None:
-                server.kill()
-                server.wait(10)
-                print(server.stdout.read())
+            print("[5/6] graceful shutdown, exit 0")
+
+        with _served(tmp_path) as (server, url):
+            again = _repro(
+                "submit", "--url", url,
+                "--network", NETWORK, "--platform", PLATFORM, "--mode", MODE,
+                "--episodes", str(args.episodes), "--wait",
+            )  # fmt: skip
+            assert "from_store=True" in again.stdout, again.stdout
+            client = ServiceClient(url, timeout=30)
+            fresh = client.submit(
+                {
+                    "network": NETWORK,
+                    "platform": PLATFORM,
+                    "mode": MODE,
+                    "episodes": args.episodes,
+                    "seed": 1,
+                }
+            )[0]
+            final = client.wait(fresh["id"], timeout=60)
+            assert final["state"] == "done", final
+            client.shutdown()
+            client.close()
+            code = server.wait(timeout=60)
+            assert code == 0, f"restarted serve exited {code}"
+            print(
+                "[6/6] restarted on the same store: resubmission was a store "
+                f"hit, new scenario {fresh['id']} done, exit 0"
+            )
+        print("serve smoke OK")
+        return 0
 
 
 if __name__ == "__main__":

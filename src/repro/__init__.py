@@ -16,8 +16,6 @@ Quick start
 from repro.backends import DesignSpace, Layout, Mode, cpu_space, design_space, gpgpu_space
 from repro.baselines import (
     best_single_library,
-    brute_force,
-    chain_dp,
     cross_entropy_method,
     genetic_search,
     greedy_per_layer,
@@ -58,8 +56,6 @@ __all__ = [
     "best_single_library",
     "single_library_results",
     "greedy_per_layer",
-    "brute_force",
-    "chain_dp",
     "cross_entropy_method",
     "genetic_search",
     "pbqp_solve",

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from repro.baselines.annealing import simulated_annealing
 from repro.baselines.best_single_library import best_single_library
 from repro.baselines.cem import cross_entropy_method
-from repro.baselines.dp_optimal import chain_dp, is_chain
 from repro.baselines.genetic import genetic_search
 from repro.baselines.greedy import greedy_per_layer
-from repro.baselines.pbqp import pbqp_solve
+from repro.baselines.pbqp import PBQPSolver
 from repro.baselines.random_search import random_search
 from repro.core.config import SearchConfig
 from repro.core.search import QSDNNSearch
@@ -34,7 +33,7 @@ class MethodComparison:
     pbqp_ms: float
     cem_ms: float
     ga_ms: float
-    optimal_ms: float | None  # exact (chain DP) when the graph is a chain
+    optimal_ms: float | None  # pbqp_ms when the solver proved it optimal
     # Function-approximation baselines (ext/): absent from payloads
     # stored before they existed, so they default to None and old rows
     # decode unchanged.
@@ -63,7 +62,7 @@ class MethodComparison:
         if self.mlp_q_ms is not None:
             entries.append(("MLP Q (approx.)", self.mlp_q_ms))
         if self.optimal_ms is not None:
-            entries.append(("exact optimum (chain DP)", self.optimal_ms))
+            entries.append(("exact optimum", self.optimal_ms))
         for name, ms in entries:
             table.add_row([name, format_ms(ms), f"{ms / self.qsdnn_ms:.2f}x"])
         return table.render()
@@ -157,6 +156,8 @@ def compare_methods(
     rl = QSDNNSearch(
         lut, SearchConfig(episodes=episodes, seed=seed, kernel=kernel)
     ).run()
+    solver = PBQPSolver(lut)
+    pbqp_ms = solver.solve().best_ms
     linear_q_ms = mlp_q_ms = None
     if approx:
         from repro.ext.linear_q import LinearQConfig, LinearQSearch
@@ -177,10 +178,10 @@ def compare_methods(
         qsdnn_ms=rl.best_ms,
         rs_ms=random_search(lut, episodes=episodes, seed=seed).best_ms,
         annealing_ms=simulated_annealing(lut, episodes=episodes, seed=seed).best_ms,
-        pbqp_ms=pbqp_solve(lut).best_ms,
+        pbqp_ms=pbqp_ms,
         cem_ms=cross_entropy_method(lut, episodes=episodes, seed=seed).best_ms,
         ga_ms=genetic_search(lut, episodes=episodes, seed=seed).best_ms,
-        optimal_ms=chain_dp(lut).best_ms if is_chain(lut) else None,
+        optimal_ms=pbqp_ms if solver.proven else None,
         linear_q_ms=linear_q_ms,
         mlp_q_ms=mlp_q_ms,
     )

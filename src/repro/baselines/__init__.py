@@ -5,11 +5,11 @@
   II's per-library rows and the BSL column.
 * :func:`greedy_per_layer` — the Fig. 1 trap: fastest primitive per
   layer, penalties ignored during selection.
-* :func:`brute_force` — exact optimum by enumeration (tiny nets only).
-* :func:`chain_dp` — exact optimum for chain networks via dynamic
-  programming (a verification oracle for the search).
 * :class:`PBQPSolver` — partitioned boolean quadratic programming, the
-  approach of Anderson & Gregg [14] the paper positions itself against.
+  approach of Anderson & Gregg [14] the paper positions itself against,
+  solved exactly by variable elimination: the one source of the exact
+  optimum.  PBQP's RN heuristic runs only as the fallback above a
+  table-size cap.
 * :func:`simulated_annealing` — a classic non-learning local-search DSE
   baseline at an evaluation-matched budget.
 * :func:`cross_entropy_method` / :func:`genetic_search` —
@@ -27,8 +27,6 @@ from repro.baselines.best_single_library import (
     single_library_results,
 )
 from repro.baselines.greedy import greedy_per_layer
-from repro.baselines.brute_force import brute_force
-from repro.baselines.dp_optimal import chain_dp, is_chain
 from repro.baselines.pbqp import PBQPSolver, pbqp_solve
 
 __all__ = [
@@ -40,9 +38,6 @@ __all__ = [
     "best_single_library",
     "single_library_results",
     "greedy_per_layer",
-    "brute_force",
-    "chain_dp",
-    "is_chain",
     "PBQPSolver",
     "pbqp_solve",
 ]

@@ -6,40 +6,36 @@ each graph edge carries a cost matrix (the compatibility penalties), and
 the objective is the minimum total.  The paper positions QS-DNN against
 this approach, so we implement it as a baseline.
 
-The solver applies the classic reductions:
+The solver is one exact rule, min-sum variable elimination over cost
+tables.  It repeatedly takes the live node with the fewest live
+neighbours (ties by index), sums every table that touches it into one
+table over it and its neighbours, keeps the argmin for each neighbour
+assignment and adds the min as a new table over the neighbours.  PBQP's
+reductions R0, RI and RII are this rule with 0, 1 and 2 neighbours.
+Replaying the argmins in reverse elimination order recovers an optimal
+choice for every node.
 
-* **R0** — isolated node: pick its cheapest option.
-* **RI** — degree-1 node: fold its costs into the neighbor's vector.
-* **RII** — degree-2 node: fold its costs into a (possibly new) edge
-  between its two neighbors.
-* **RN** — heuristic for degree >= 3: fix the locally best option and
-  propagate (this step makes the solver near-optimal rather than exact
-  on branchy graphs; on chains RI alone makes it exact).
-
-Decisions are back-propagated in reverse elimination order.
+PBQP's heuristic RN (fix the node's locally best option) survives only
+as the fallback for a node whose table would exceed
+:data:`MAX_TABLE_ENTRIES`; running it clears :attr:`PBQPSolver.proven`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.result import SearchResult
 from repro.engine.lut import LatencyTable
 
+#: Largest table one elimination may build (8 MiB of float64).  Bounds
+#: memory on a LUT read from outside the program; the largest table on
+#: any zoo network has a few hundred entries.
+MAX_TABLE_ENTRIES = 2**20
 
-@dataclass
-class _Elimination:
-    """One eliminated node plus how to recover its choice."""
-
-    node: int
-    kind: str  # "r0" | "ri" | "rii" | "rn"
-    neighbors: tuple[int, ...]
-    #: r0/rn: fixed choice.  ri: choice per neighbor option (1-D array).
-    #: rii: choice per (first, second) neighbor option pair (2-D array).
-    decision: object
+#: The sorted node indices a cost table ranges over, one axis each.
+Scope = tuple[int, ...]
 
 
 class PBQPSolver:
@@ -47,173 +43,151 @@ class PBQPSolver:
 
     The instance *is* the :class:`~repro.engine.pricing.CostEngine`'s
     representation — per-layer cost vectors plus per-edge cost matrices
-    — consumed directly from the compiled engine.
+    — consumed directly from the compiled engine.  After :meth:`solve`,
+    :attr:`proven` is True when the answer is the exact optimum (no
+    fallback step ran).
     """
 
     def __init__(self, lut: LatencyTable) -> None:
         self.lut = lut
         self.engine = lut.engine()
+        self.proven: bool | None = None
 
-    # -- graph construction -------------------------------------------------
-
-    def _build(self) -> tuple[list[np.ndarray], dict[int, dict[int, np.ndarray]]]:
-        """Cost vectors and adjacency; parallel edges are pre-merged."""
+    def solve(self) -> SearchResult:
+        """Eliminate every node, then replay the argmins."""
+        started = time.perf_counter()
         engine = self.engine
-        vectors = [t.copy() for t in engine.times]
-        adjacency: dict[int, dict[int, np.ndarray]] = {
-            i: {} for i in range(len(vectors))
+        sizes = [int(n) for n in engine.num_actions]
+        num_nodes = len(sizes)
+        tables: dict[Scope, np.ndarray] = {
+            (i,): t for i, t in enumerate(engine.times)
         }
         for (producer, consumer), matrix in zip(engine.edges, engine.edge_matrices):
             u = engine.layer_index[producer]
             v = engine.layer_index[consumer]
-            self._add_edge(adjacency, u, v, matrix)
-        return vectors, adjacency
+            if u > v:
+                u, v, matrix = v, u, matrix.T
+            _add_table(tables, (u, v), matrix)
+        # Index tables by node, so a step touches only its node's tables.
+        touching: list[set[Scope]] = [set() for _ in sizes]
+        neighbours: list[set[int]] = [set() for _ in sizes]
+        for scope in tables:
+            for node in scope:
+                touching[node].add(scope)
+                neighbours[node].update(scope)
+        for node, others in enumerate(neighbours):
+            others.discard(node)
 
-    @staticmethod
-    def _add_edge(
-        adjacency: dict[int, dict[int, np.ndarray]],
-        u: int,
-        v: int,
-        matrix_uv: np.ndarray,
-    ) -> None:
-        """Insert/merge an edge, keeping both orientations in sync."""
-        if v in adjacency[u]:
-            adjacency[u][v] = adjacency[u][v] + matrix_uv
-            adjacency[v][u] = adjacency[u][v].T
-        else:
-            adjacency[u][v] = matrix_uv.copy()
-            adjacency[v][u] = adjacency[u][v].T
-
-    # -- reductions --------------------------------------------------------------
-
-    def solve(self) -> SearchResult:
-        """Run reductions + back-propagation; returns the solution."""
-        started = time.perf_counter()
-        vectors, adjacency = self._build()
-        alive = set(range(len(vectors)))
-        eliminations: list[_Elimination] = []
-
+        self.proven = True
+        alive = set(range(num_nodes))
+        # Fewest live neighbours first, ties by index, as one integer.
+        rank = [len(others) * num_nodes + n for n, others in enumerate(neighbours)]
+        steps: list[tuple[int, Scope, np.ndarray]] = []
         while alive:
-            node = self._pick_node(alive, adjacency)
-            degree = len(adjacency[node])
-            if degree == 0:
-                eliminations.append(self._reduce_r0(node, vectors))
-            elif degree == 1:
-                eliminations.append(self._reduce_ri(node, vectors, adjacency))
-            elif degree == 2:
-                eliminations.append(self._reduce_rii(node, vectors, adjacency))
-            else:
-                eliminations.append(self._reduce_rn(node, vectors, adjacency))
+            node = min(alive, key=rank.__getitem__)
             alive.remove(node)
+            # The node's own vector first, then its edges in neighbour
+            # order: the summation order of the classic reductions.
+            scopes = sorted(touching[node], key=lambda s: (len(s), s))
+            factors = [(scope, tables.pop(scope)) for scope in scopes]
+            for scope in scopes:
+                for other in scope:
+                    if other != node:
+                        touching[other].discard(scope)
+            nbrs = tuple(sorted(neighbours[node]))
+            entries = sizes[node]
+            for other in nbrs:
+                entries *= sizes[other]
+                neighbours[other].discard(node)
+            if entries <= MAX_TABLE_ENTRIES:
+                decision, message = _eliminate(node, nbrs, factors, sizes)
+                messages = [(nbrs, message)] if nbrs else []
+                for other in nbrs:  # the neighbours now share a table
+                    neighbours[other].update(nbrs)
+                    neighbours[other].discard(other)
+            else:
+                self.proven = False
+                decision, messages = _fix_locally_best(node, factors, tables)
+                nbrs = ()
+            for scope, table in messages:
+                if _add_table(tables, scope, table):
+                    for other in scope:
+                        touching[other].add(scope)
+            for other in neighbours[node]:
+                rank[other] = len(neighbours[other]) * num_nodes + other
+            steps.append((node, nbrs, decision))
 
-        choices = self._backpropagate(eliminations, len(vectors))
+        choices = np.empty(num_nodes, dtype=np.int64)
+        for node, nbrs, decision in reversed(steps):
+            choices[node] = decision[tuple(choices[m] for m in nbrs)]
         return SearchResult(
             graph_name=self.lut.graph_name,
             method="pbqp",
-            best_assignments=self.engine.assignments(choices),
-            best_ms=self.engine.price(choices),
+            best_assignments=engine.assignments(choices),
+            best_ms=engine.price(choices),
             episodes=1,
             curve_ms=[],
             wall_clock_s=time.perf_counter() - started,
         )
 
-    @staticmethod
-    def _pick_node(alive: set[int], adjacency: dict[int, dict[int, np.ndarray]]) -> int:
-        """Prefer the lowest-degree node (R0 < RI < RII < RN)."""
-        return min(alive, key=lambda n: (len(adjacency[n]), n))
 
-    @staticmethod
-    def _reduce_r0(node: int, vectors: list[np.ndarray]) -> _Elimination:
-        return _Elimination(
-            node=node,
-            kind="r0",
-            neighbors=(),
-            decision=int(np.argmin(vectors[node])),
+def _add_table(
+    tables: dict[Scope, np.ndarray], scope: Scope, table: np.ndarray
+) -> bool:
+    """Add ``table`` into the one over ``scope``; True if it is new."""
+    if scope in tables:
+        tables[scope] = tables[scope] + table
+        return False
+    tables[scope] = table
+    return True
+
+
+def _eliminate(
+    node: int,
+    nbrs: Scope,
+    factors: list[tuple[Scope, np.ndarray]],
+    sizes: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the node's tables into one over the node and ``nbrs`` and
+    minimise the node out: the argmin and the min per assignment of
+    ``nbrs``.  The joint axes are sorted, like every table's, so a
+    table aligns by reshaping alone."""
+    joint = tuple(sorted(nbrs + (node,)))
+    total = None
+    for scope, table in factors:
+        aligned = table.reshape([sizes[m] if m in scope else 1 for m in joint])
+        total = aligned if total is None else total + aligned
+    axis = joint.index(node)
+    return total.argmin(axis=axis), total.min(axis=axis)
+
+
+def _fix_locally_best(
+    node: int,
+    factors: list[tuple[Scope, np.ndarray]],
+    tables: dict[Scope, np.ndarray],
+) -> tuple[np.ndarray, list[tuple[Scope, np.ndarray]]]:
+    """PBQP's RN: score each option by its own cost plus, per table,
+    the best reachable cost with the other nodes' vectors.  Returns the
+    cheapest option and each table's slice at it, over the rest."""
+    (_, score), *others = factors
+    for scope, table in others:
+        reach = table
+        for i, other in enumerate(scope):
+            if other != node:
+                shape = [1] * len(scope)
+                shape[i] = -1
+                reach = reach + tables[(other,)].reshape(shape)
+        reach = np.moveaxis(reach, scope.index(node), 0)
+        score = score + reach.reshape(len(score), -1).min(axis=1)
+    choice = np.argmin(score)
+    slices = [
+        (
+            tuple(m for m in scope if m != node),
+            np.take(table, choice, axis=scope.index(node)),
         )
-
-    def _reduce_ri(
-        self,
-        node: int,
-        vectors: list[np.ndarray],
-        adjacency: dict[int, dict[int, np.ndarray]],
-    ) -> _Elimination:
-        (neighbor, matrix) = next(iter(adjacency[node].items()))
-        # matrix is oriented (node_choice, neighbor_choice).
-        combined = vectors[node][:, None] + matrix  # (n_node, n_neighbor)
-        decision = np.argmin(combined, axis=0)  # best node choice per neighbor
-        vectors[neighbor] = vectors[neighbor] + combined[
-            decision, np.arange(combined.shape[1])
-        ]
-        self._drop_node(node, adjacency)
-        return _Elimination(
-            node=node, kind="ri", neighbors=(neighbor,), decision=decision
-        )
-
-    def _reduce_rii(
-        self,
-        node: int,
-        vectors: list[np.ndarray],
-        adjacency: dict[int, dict[int, np.ndarray]],
-    ) -> _Elimination:
-        (v, matrix_v), (w, matrix_w) = sorted(adjacency[node].items())
-        # combined[a, b, c] = c_node[a] + C_nv[a, b] + C_nw[a, c]
-        combined = (
-            vectors[node][:, None, None]
-            + matrix_v[:, :, None]
-            + matrix_w[:, None, :]
-        )
-        decision = np.argmin(combined, axis=0)  # (n_v, n_w)
-        delta = np.min(combined, axis=0)  # folded into edge (v, w)
-        self._drop_node(node, adjacency)
-        self._add_edge(adjacency, v, w, delta)
-        return _Elimination(
-            node=node, kind="rii", neighbors=(v, w), decision=decision
-        )
-
-    def _reduce_rn(
-        self,
-        node: int,
-        vectors: list[np.ndarray],
-        adjacency: dict[int, dict[int, np.ndarray]],
-    ) -> _Elimination:
-        # Heuristic: score each option by its vector cost plus the best
-        # reachable cost over every incident edge.
-        score = vectors[node].copy()
-        for neighbor, matrix in adjacency[node].items():
-            score = score + np.min(matrix + vectors[neighbor][None, :], axis=1)
-        choice = int(np.argmin(score))
-        for neighbor, matrix in list(adjacency[node].items()):
-            vectors[neighbor] = vectors[neighbor] + matrix[choice, :]
-        self._drop_node(node, adjacency)
-        return _Elimination(node=node, kind="rn", neighbors=(), decision=choice)
-
-    @staticmethod
-    def _drop_node(node: int, adjacency: dict[int, dict[int, np.ndarray]]) -> None:
-        for neighbor in list(adjacency[node]):
-            del adjacency[neighbor][node]
-        adjacency[node].clear()
-
-    # -- back-propagation -----------------------------------------------------------
-
-    @staticmethod
-    def _backpropagate(
-        eliminations: list[_Elimination], num_nodes: int
-    ) -> np.ndarray:
-        choices = np.full(num_nodes, -1, dtype=np.int64)
-        for elim in reversed(eliminations):
-            if elim.kind in ("r0", "rn"):
-                choices[elim.node] = elim.decision  # type: ignore[assignment]
-            elif elim.kind == "ri":
-                (neighbor,) = elim.neighbors
-                choices[elim.node] = elim.decision[choices[neighbor]]  # type: ignore[index]
-            else:  # rii
-                v, w = elim.neighbors
-                choices[elim.node] = elim.decision[  # type: ignore[index]
-                    choices[v], choices[w]
-                ]
-        if (choices < 0).any():
-            raise AssertionError("PBQP back-propagation left nodes unassigned")
-        return choices
+        for scope, table in others
+    ]
+    return choice, slices
 
 
 def pbqp_solve(lut: LatencyTable) -> SearchResult:

@@ -482,6 +482,10 @@ class CampaignService:
         #: Registered workers (local worker processes and fleet hosts).
         self.workers_info: dict[str, WorkerInfo] = {}
         self._worker_seq = itertools.count(1)
+        # A random part per service process: a restart on the same store
+        # (whose lease table keeps the old rows) or a worker re-sending
+        # a delivery to a restarted service never meets an earlier id.
+        self._lease_prefix = f"lease-{os.urandom(4).hex()}"
         self._lease_seq = itertools.count(1)
         self._reaper: asyncio.Task | None = None
         #: Strong reference to an in-flight graceful-shutdown task —
@@ -925,7 +929,7 @@ class CampaignService:
             record.attempts += 1
             self._pending -= 1
         lease = self.store.create_lease(
-            f"lease-{next(self._lease_seq)}",
+            f"{self._lease_prefix}-{next(self._lease_seq)}",
             [record.id for record in records],
             [job_key(record.job) for record in records],
             info.id,

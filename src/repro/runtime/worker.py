@@ -278,6 +278,9 @@ class FleetWorker:
         self.client = client or ServiceClient(
             config.server, timeout=60.0 + config.poll_s
         )
+        #: A client the worker made is closed when a run ends; an
+        #: injected one stays the caller's.
+        self._owns_client = client is None
         self.log = log or (lambda line: None)
         self.stats = WorkerStats()
         self.worker_id: str | None = None
@@ -317,7 +320,7 @@ class FleetWorker:
         try:
             return self._step()
         finally:
-            self._stop_beating()
+            self._end_run()
 
     def _step(self) -> bool:
         """:meth:`run_one`, leaving the beat thread running."""
@@ -373,11 +376,16 @@ class FleetWorker:
         thread.follow(beat)
         return beat
 
-    def _stop_beating(self) -> None:
-        """Close the beat thread at the end of a run."""
+    def _end_run(self) -> None:
+        """Close the beat thread at the end of a run, then the client
+        the worker made, once the thread has sent its last beat."""
         thread, self._beat_thread = self._beat_thread, None
         if thread is not None and thread.is_alive():
             thread.close()
+            if self._owns_client:
+                thread.join()
+        if self._owns_client:
+            self.client.close()
 
     def _process(self, grant: dict) -> bool:
         """Execute a grant's jobs and deliver their outcomes; False when
@@ -483,7 +491,7 @@ class FleetWorker:
                 if self.config.max_jobs and self._jobs_done() >= self.config.max_jobs:
                     return self.stats
         finally:
-            self._stop_beating()
+            self._end_run()
 
 
 def run_worker(config: WorkerConfig) -> int:

@@ -3,8 +3,9 @@
 Fig. 1 illustrates why greedy per-layer selection fails: the path through
 the *fastest intermediate implementation* (red) loses to the globally
 fastest path (blue) once layout/processor conversion penalties are
-charged.  This network is small enough for exhaustive enumeration, so the
-Fig. 1 experiment verifies QS-DNN against the brute-force optimum.
+charged.  The Fig. 1 experiment verifies QS-DNN against the exact
+optimum, and the tests against exhaustive enumeration, which this
+network is small enough for.
 """
 
 from __future__ import annotations

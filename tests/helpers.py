@@ -2,17 +2,27 @@
 
 A synthetic LUT lets the search/solver tests control the optimization
 landscape exactly (and cheaply) instead of going through profiling.
-:func:`stop_loop_thread` ends the live services the runtime tests run
-on a background event-loop thread.
+:class:`LiveService` runs a service on a background event-loop thread
+for the runtime tests, and :func:`stop_loop_thread` ends it.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
+import json
+import threading
+import time
+
 import numpy as np
 
 from repro.backends.layout import Layout
+from repro.core.config import ServiceConfig
+from repro.core.result import SearchResult
 from repro.engine.lut import LatencyTable, PrimitiveMeta
 from repro.hw.processor import ProcessorKind
+from repro.runtime.client import ServiceClient
+from repro.runtime.service import CampaignService
 
 
 def synthetic_meta(num_actions: int) -> dict[str, PrimitiveMeta]:
@@ -32,18 +42,22 @@ def synthetic_meta(num_actions: int) -> dict[str, PrimitiveMeta]:
     return metas
 
 
-def synthetic_chain_lut(
+def synthetic_lut(
     num_layers: int,
     num_actions: int,
+    pairs: list[tuple[int, int]],
     seed: int = 0,
     transfer_scale: float = 1.0,
     conversion_scale: float = 0.5,
 ) -> LatencyTable:
-    """A random chain-network LUT with processor/layout penalties.
+    """A random LUT whose edges join the ``pairs`` of layer indices,
+    with processor/layout penalties.
 
-    Per-layer times are uniform in [1, 10) ms; the penalty structure is
-    derived from the synthetic primitive metadata exactly like a real
-    LUT (transfer on processor switch, conversion on layout mismatch).
+    Per-layer times are uniform in [1, 10) ms, transfers in
+    [0.5, 3) x ``transfer_scale`` and conversions in [0.1, 1) x
+    ``conversion_scale``; the penalty structure is derived from the
+    synthetic primitive metadata exactly like a real LUT (transfer on
+    processor switch, conversion on layout mismatch).
     """
     rng = np.random.default_rng(seed)
     layers = [f"layer{i}" for i in range(num_layers)]
@@ -53,7 +67,7 @@ def synthetic_chain_lut(
     times = {
         l: {u: float(rng.uniform(1.0, 10.0)) for u in uids} for l in layers
     }
-    edges = [(layers[i], layers[i + 1]) for i in range(num_layers - 1)]
+    edges = [(layers[i], layers[j]) for i, j in pairs]
     conversion = {
         e: {
             ProcessorKind.CPU: float(rng.uniform(0.1, 1.0)) * conversion_scale,
@@ -73,6 +87,38 @@ def synthetic_chain_lut(
         conversion_ms=conversion,
         transfer_ms=transfer,
         meta=meta,
+    )
+
+
+def synthetic_chain_lut(
+    num_layers: int,
+    num_actions: int,
+    seed: int = 0,
+    transfer_scale: float = 1.0,
+    conversion_scale: float = 0.5,
+) -> LatencyTable:
+    """A random chain-network :func:`synthetic_lut`."""
+    chain = [(i, i + 1) for i in range(num_layers - 1)]
+    return synthetic_lut(
+        num_layers, num_actions, chain, seed, transfer_scale, conversion_scale
+    )
+
+
+def enumerate_optimum(lut: LatencyTable) -> SearchResult:
+    """The exact optimum by pricing every configuration (tiny LUTs only).
+
+    The independent oracle the solver is checked against: it shares
+    nothing with :mod:`repro.baselines.pbqp` but the engine's pricing.
+    """
+    engine = lut.engine()
+    configs = np.indices(engine.num_actions).reshape(len(engine), -1).T
+    best = configs[int(np.argmin(engine.price_batch(configs)))]
+    return SearchResult(
+        graph_name=lut.graph_name,
+        method="enumeration",
+        best_assignments=engine.assignments(best),
+        best_ms=engine.price(best),
+        episodes=len(configs),
     )
 
 
@@ -324,3 +370,82 @@ def stop_loop_thread(loop, thread) -> None:
     assert not thread.is_alive(), "event loop did not stop"
     loop.run_until_complete(loop.shutdown_default_executor())
     loop.close()
+
+
+class LiveService:
+    """A :class:`CampaignService` on a background event-loop thread,
+    driven over HTTP by a stdlib :class:`ServiceClient`.
+
+    Keyword arguments are :class:`ServiceConfig` overrides; ``port``
+    defaults to 0 (any free port).  Each test module binds its own
+    defaults with :func:`functools.partial`.
+    """
+
+    def __init__(self, **overrides):
+        overrides.setdefault("port", 0)
+        self.config = ServiceConfig(**overrides)
+        self.service = CampaignService(self.config)
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._started = threading.Event()
+
+    def _run(self):
+        asyncio.set_event_loop(self.loop)
+        self.loop.run_until_complete(self.service.start())
+        self._started.set()
+        self.loop.run_forever()
+
+    def __enter__(self) -> "LiveService":
+        self._thread.start()
+        assert self._started.wait(10), "service failed to start"
+        self.url = f"http://127.0.0.1:{self.service.port}"
+        self.client = ServiceClient(self.url, timeout=60)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            # Idempotent: completes immediately if already shut down.
+            asyncio.run_coroutine_threadsafe(
+                self.service.shutdown(), self.loop
+            ).result(60)
+        finally:
+            stop_loop_thread(self.loop, self._thread)
+            self.client.close()
+
+    def wait_closed(self, timeout: float = 60.0) -> None:
+        """Block until a shutdown (local or remote) has completed."""
+        asyncio.run_coroutine_threadsafe(
+            self.service.wait_closed(), self.loop
+        ).result(timeout)
+
+    def wait_state(self, job_id: str, state: str, timeout: float = 60.0) -> dict:
+        """Poll until job ``job_id`` reads ``state``; its record."""
+        deadline = time.monotonic() + timeout
+        while True:
+            record = self.client.job(job_id)
+            if record["state"] == state:
+                return record
+            assert time.monotonic() < deadline, (
+                f"job {job_id} stuck in {record['state']!r}, wanted {state!r}"
+            )
+            time.sleep(0.02)
+
+    def raw(self, method: str, path: str, body=None, headers=None):
+        """One request: ``(status, headers, decoded JSON body)``."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", self.service.port, timeout=30
+        )
+        try:
+            payload = json.dumps(body).encode() if body is not None else None
+            sent = {"Content-Type": "application/json"} if payload else {}
+            sent.update(headers or {})
+            conn.request(method, path, body=payload, headers=sent)
+            response = conn.getresponse()
+            raw = response.read()
+            return (
+                response.status,
+                dict(response.getheaders()),
+                json.loads(raw) if raw else {},
+            )
+        finally:
+            conn.close()

@@ -106,14 +106,15 @@ class TestCompareMethods:
         lut = cached_lut("lenet5", Mode.GPGPU, tx2)
         cmp = compare_methods(lut, episodes=300, seed=0)
         assert cmp.vanilla_ms > cmp.bsl_ms > 0
-        assert cmp.optimal_ms is not None  # LeNet is a chain
+        assert cmp.optimal_ms == cmp.pbqp_ms  # proven optimal
         assert cmp.qsdnn_ms <= cmp.rs_ms
         assert "QS-DNN" in cmp.render()
 
-    def test_optimal_none_for_branchy(self, tx2):
+    def test_optimal_set_for_branchy(self, tx2):
         lut = cached_lut("squeezenet_v1.1", Mode.GPGPU, tx2)
         cmp = compare_methods(lut, episodes=100, seed=0)
-        assert cmp.optimal_ms is None
+        assert cmp.optimal_ms == cmp.pbqp_ms
+        assert "exact optimum" in cmp.render()
 
 
 class TestCache:

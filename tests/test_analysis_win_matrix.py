@@ -6,7 +6,7 @@ import pytest
 
 from repro import Mode, jetson_tx2
 from repro.analysis.win_matrix import render_win_matrix, win_matrix
-from repro.baselines import chain_dp
+from repro.baselines import pbqp_solve
 from repro.zoo import build_network
 
 
@@ -17,7 +17,7 @@ def setup(request):
     platform = jetson_tx2()
     graph = build_network("lenet5")
     lut = cached_lut("lenet5", Mode.GPGPU, platform, seed=0)
-    assignments = chain_dp(lut).best_assignments
+    assignments = pbqp_solve(lut).best_assignments
     return graph, lut, assignments
 
 

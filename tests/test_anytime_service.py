@@ -14,25 +14,21 @@ bitwise-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import asyncio
-import http.client
-import json
 import threading
 import time
+from functools import partial
 
 import pytest
 
-from repro.core.config import SearchConfig, ServiceConfig
+from repro.core.config import SearchConfig
 from repro.core.multi_seed import MultiSeedSearch, seed_range
 from repro.core.search import QSDNNSearch
 from repro.errors import LeaseExpiredError
 from repro.runtime.campaign import CampaignJob, load_or_profile_lut
-from repro.runtime.client import ServiceClient
 from repro.runtime.metrics import parse_samples
-from repro.runtime.service import CampaignService
 from repro.runtime.store import job_key
 from repro.runtime.worker import FleetWorker, WorkerConfig
-from tests.helpers import stop_loop_thread
+from tests.helpers import LiveService
 
 #: Long enough (~2 s at the reference backend's episode rate) that the
 #: job is reliably mid-flight when the test preempts or kills it.
@@ -44,69 +40,16 @@ EVERY = 100
 BEAT_TTL_S = 1.5
 
 
-class LiveAnytime:
-    """A service on a background event-loop thread (anytime configs)."""
-
-    def __init__(self, **overrides):
-        overrides.setdefault("port", 0)
-        overrides.setdefault("workers", 1)
-        overrides.setdefault("checkpoint_every", EVERY)
-        overrides.setdefault("heartbeat_s", 0.05)
-        # A test that leaves a fleet lease outstanding would otherwise
-        # spend the default 30 s drain window in shutdown.
-        overrides.setdefault("drain_timeout_s", 0.5)
-        self.config = ServiceConfig(**overrides)
-        self.service = CampaignService(self.config)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = threading.Event()
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def __enter__(self) -> "LiveAnytime":
-        self._thread.start()
-        assert self._started.wait(10), "service failed to start"
-        self.url = f"http://127.0.0.1:{self.service.port}"
-        self.client = ServiceClient(self.url, timeout=60)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self.loop
-            ).result(60)
-        finally:
-            stop_loop_thread(self.loop, self._thread)
-            self.client.close()
-
-    def raw(self, method: str, path: str, body=None):
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", self.service.port, timeout=30
-        )
-        try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            return response.status, json.loads(raw) if raw else {}
-        finally:
-            conn.close()
-
-    def wait_state(self, job_id: str, state: str, timeout: float = 60.0) -> dict:
-        deadline = time.monotonic() + timeout
-        while True:
-            record = self.client.job(job_id)
-            if record["state"] == state:
-                return record
-            assert time.monotonic() < deadline, (
-                f"job {job_id} stuck in {record['state']!r}, wanted {state!r}"
-            )
-            time.sleep(0.02)
+#: An anytime service: one local worker checkpointing every EVERY
+#: episodes.  A test that leaves a fleet lease outstanding would
+#: otherwise spend the default 30 s drain window in shutdown.
+LiveAnytime = partial(
+    LiveService,
+    workers=1,
+    checkpoint_every=EVERY,
+    heartbeat_s=0.05,
+    drain_timeout_s=0.5,
+)
 
 
 def _long_body(**overrides):
@@ -170,7 +113,7 @@ def _preempt_then_resume(**kind) -> dict:
         for event, _ in live.client.stream_progress(record["id"]):
             if event == "progress":
                 break
-        status, body = live.raw("DELETE", f"/jobs/{record['id']}")
+        status, _, body = live.raw("DELETE", f"/jobs/{record['id']}")
         assert status == 202
         assert body["preempting"] is True
         assert body["state"] == "cancelled"  # the lease is revoked at once
@@ -240,7 +183,7 @@ class TestPreemptResume:
 
     def test_resume_flag_must_be_boolean(self):
         with LiveAnytime(workers=0) as live:
-            status, body = live.raw(
+            status, _, body = live.raw(
                 "POST", "/jobs", _long_body(resume="yes")
             )
             assert status == 400
@@ -254,13 +197,13 @@ class TestPreemptResume:
         with LiveAnytime(checkpoint_every=0) as live:
             record = live.client.submit(_long_body(episodes=8000))[0]
             live.wait_state(record["id"], "running", timeout=30)
-            status, body = live.raw("DELETE", f"/jobs/{record['id']}")
+            status, _, body = live.raw("DELETE", f"/jobs/{record['id']}")
             assert status == 202
             assert body["state"] == "cancelled"
             assert "lease revoked" in body["error"]
             key = job_key(CampaignJob(**body["job"]))
             assert live.service.store.get_checkpoint(key) is None
-            status, body = live.raw("DELETE", f"/jobs/{record['id']}")
+            status, _, body = live.raw("DELETE", f"/jobs/{record['id']}")
             assert status == 409
             assert "only queued jobs" in body["error"]
             after = live.client.submit(_long_body(episodes=150, seed=3))[0]
@@ -287,7 +230,7 @@ class TestFleetLeaseRevocation:
             assert leased["checkpoint_every"] == EVERY
             lease_id = leased["lease"]["lease_id"]
 
-            status, body = live.raw("DELETE", f"/jobs/{target['id']}")
+            status, _, body = live.raw("DELETE", f"/jobs/{target['id']}")
             assert status == 202
             assert body["preempting"] is True
             assert body["state"] == "cancelled"  # fleet path is immediate
@@ -324,7 +267,7 @@ class TestFleetLeaseRevocation:
                 assert time.monotonic() < deadline, "no checkpoint carried"
                 assert ran.is_alive(), "worker finished before preemption"
                 time.sleep(0.02)
-            status, body = live.raw("DELETE", f"/jobs/{record['id']}")
+            status, _, body = live.raw("DELETE", f"/jobs/{record['id']}")
             assert status == 202 and body["preempting"] is True
             ran.join(timeout=30)
             assert not ran.is_alive()

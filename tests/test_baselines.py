@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.compare import compare_methods
 from repro.baselines import (
+    PBQPSolver,
     best_single_library,
-    brute_force,
-    chain_dp,
     greedy_per_layer,
-    is_chain,
     pbqp_solve,
     random_search,
     single_library_results,
 )
+from repro.baselines import pbqp
 from repro.engine.pricing import CostEngine
 from repro.errors import ConfigError
 
-from tests.helpers import synthetic_chain_lut, trap_lut
+from tests.helpers import (
+    enumerate_optimum,
+    synthetic_chain_lut,
+    synthetic_lut,
+    trap_lut,
+)
 
 
 class TestRandomSearch:
@@ -50,67 +55,80 @@ class TestRandomSearch:
         assert len(result.curve_ms) == 25
 
 
-class TestBruteForce:
+class TestEnumerationOracle:
     def test_optimal_on_trap(self):
-        result = brute_force(trap_lut())
+        result = enumerate_optimum(trap_lut())
         assert result.best_ms == pytest.approx(10.0)
 
     def test_episodes_is_space_size(self):
         lut = synthetic_chain_lut(3, 4, seed=3)
-        assert brute_force(lut).episodes == 4**3
-
-    def test_refuses_huge_spaces(self):
-        lut = synthetic_chain_lut(30, 8, seed=3)
-        with pytest.raises(ConfigError):
-            brute_force(lut)
+        assert enumerate_optimum(lut).episodes == 4**3
 
     def test_never_beaten_by_random(self):
         lut = synthetic_chain_lut(5, 3, seed=4)
-        exact = brute_force(lut)
+        exact = enumerate_optimum(lut)
         rs = random_search(lut, episodes=500, seed=1)
         assert exact.best_ms <= rs.best_ms + 1e-12
 
 
-class TestChainDP:
-    def test_matches_brute_force(self):
-        for seed in range(5):
-            lut = synthetic_chain_lut(6, 4, seed=seed)
-            assert chain_dp(lut).best_ms == pytest.approx(
-                brute_force(lut).best_ms, rel=1e-12
-            )
-
-    def test_is_chain_on_synthetic(self):
-        assert is_chain(synthetic_chain_lut(5, 3))
-
-    def test_not_chain_on_branchy(self, squeezenet_lut_gpgpu):
-        assert not is_chain(squeezenet_lut_gpgpu)
-
-    def test_rejects_non_chain(self, squeezenet_lut_gpgpu):
-        with pytest.raises(ConfigError):
-            chain_dp(squeezenet_lut_gpgpu)
-
-    def test_chain_on_real_lenet(self, lenet_lut_gpgpu):
-        assert is_chain(lenet_lut_gpgpu)
-        result = chain_dp(lenet_lut_gpgpu)
-        assert lenet_lut_gpgpu.schedule_time(result.best_assignments) == (
-            pytest.approx(result.best_ms)
-        )
+#: Every pair of four layers joined: each node has degree 3 from the
+#: start, where PBQP's RN heuristic missed the optimum by 30%.
+ALL_PAIRS_4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
 class TestPBQP:
-    def test_exact_on_chains(self):
-        for seed in range(5):
-            lut = synthetic_chain_lut(8, 4, seed=10 + seed)
+    @pytest.mark.parametrize("num_layers,seed0", [(6, 0), (8, 10)])
+    def test_exact_on_chains(self, num_layers, seed0):
+        for seed in range(seed0, seed0 + 5):
+            lut = synthetic_chain_lut(num_layers, 4, seed=seed)
             assert pbqp_solve(lut).best_ms == pytest.approx(
-                chain_dp(lut).best_ms, rel=1e-12
+                enumerate_optimum(lut).best_ms, rel=1e-12
             )
+
+    def test_exact_where_rn_was_not(self):
+        """A dense graph on which the RN heuristic came out 30% above
+        the optimum: elimination over the neighbours is exact."""
+        lut = synthetic_lut(
+            4, 4, ALL_PAIRS_4, seed=16, transfer_scale=2.0, conversion_scale=3.0
+        )
+        solver = PBQPSolver(lut)
+        result = solver.solve()
+        exact = enumerate_optimum(lut)
+        assert result.best_ms == pytest.approx(exact.best_ms, rel=1e-12)
+        assert result.best_assignments == exact.best_assignments
+        assert solver.proven
+
+    def test_fallback_above_cap_is_unproven(self, monkeypatch, toy_lut_gpgpu):
+        """Above the table cap, RN fixes the node instead: the schedule
+        is complete and engine-priced, but no longer proven."""
+        monkeypatch.setattr(pbqp, "MAX_TABLE_ENTRIES", 1)
+        lut = toy_lut_gpgpu
+        solver = PBQPSolver(lut)
+        result = solver.solve()
+        assert not solver.proven
+        assert set(result.best_assignments) == set(lut.layers)
+        engine = CostEngine.from_lut(lut)
+        choices = engine.choices_of(result.best_assignments)
+        assert result.best_ms == engine.price(choices)  # bitwise
+        assert result.best_ms >= enumerate_optimum(lut).best_ms
+        cmp = compare_methods(lut, episodes=20, seed=0)
+        assert cmp.pbqp_ms == result.best_ms
+        assert cmp.optimal_ms is None
 
     def test_solves_trap(self):
         assert pbqp_solve(trap_lut()).best_ms == pytest.approx(10.0)
 
-    def test_near_optimal_on_branchy_graph(self, squeezenet_lut_gpgpu):
+    def test_consistent_on_real_lenet(self, lenet_lut_gpgpu):
+        result = pbqp_solve(lenet_lut_gpgpu)
+        assert lenet_lut_gpgpu.schedule_time(result.best_assignments) == (
+            pytest.approx(result.best_ms)
+        )
+
+    def test_optimal_on_branchy_graph(self, squeezenet_lut_gpgpu):
         lut = squeezenet_lut_gpgpu
-        pb = pbqp_solve(lut)
+        solver = PBQPSolver(lut)
+        pb = solver.solve()
+        assert solver.proven
         rs = random_search(lut, episodes=2000, seed=0)
         assert pb.best_ms < rs.best_ms
         # And the assignment must be internally consistent.
@@ -122,38 +140,38 @@ class TestPBQP:
 
 
 class TestExactPricingAgreement:
-    """The exact solvers must report *exactly* the CostEngine price of
-    the assignment they return — any drift means a solver priced its
-    result through a different (buggy) code path."""
+    """The solver must report *exactly* the CostEngine price of the
+    assignment it returns — any drift means it priced its result
+    through a different (buggy) code path."""
 
-    def test_brute_force_exactly_equals_engine_price(self):
+    def test_oracle_exactly_equals_engine_price(self):
         for seed in range(5):
             lut = synthetic_chain_lut(5, 4, seed=seed)
             engine = CostEngine.from_lut(lut)
-            result = brute_force(lut)
+            result = enumerate_optimum(lut)
             choices = engine.choices_of(result.best_assignments)
             assert result.best_ms == engine.price(choices)  # bitwise
 
-    def test_chain_dp_exactly_equals_engine_price(self):
+    def test_pbqp_exactly_equals_engine_price(self):
         for seed in range(5):
             lut = synthetic_chain_lut(7, 4, seed=seed)
             engine = CostEngine.from_lut(lut)
-            result = chain_dp(lut)
+            result = pbqp_solve(lut)
             choices = engine.choices_of(result.best_assignments)
             assert result.best_ms == engine.price(choices)  # bitwise
 
     def test_exact_solvers_on_real_lut(self, lenet_lut_gpgpu):
         engine = CostEngine.from_lut(lenet_lut_gpgpu)
-        result = chain_dp(lenet_lut_gpgpu)
+        result = pbqp_solve(lenet_lut_gpgpu)
         choices = engine.choices_of(result.best_assignments)
         assert result.best_ms == engine.price(choices)  # bitwise
 
-    def test_brute_force_equals_dp_on_trap(self):
+    def test_oracle_equals_pbqp_on_trap(self):
         lut = trap_lut()
         engine = CostEngine.from_lut(lut)
-        bf = brute_force(lut)
-        dp = chain_dp(lut)
-        assert bf.best_ms == dp.best_ms  # both priced by the engine
+        bf = enumerate_optimum(lut)
+        pb = pbqp_solve(lut)
+        assert bf.best_ms == pb.best_ms  # both priced by the engine
         assert bf.best_ms == engine.price(
             engine.choices_of(bf.best_assignments)
         )
@@ -172,7 +190,7 @@ class TestGreedy:
         result = greedy_per_layer(trap_lut())
         assert result.best_assignments["l1"] == "prim1"
         assert result.best_ms == pytest.approx(12.0)
-        assert result.best_ms > brute_force(trap_lut()).best_ms
+        assert result.best_ms > enumerate_optimum(trap_lut()).best_ms
 
     def test_total_includes_penalties(self):
         lut = synthetic_chain_lut(5, 4, seed=6)

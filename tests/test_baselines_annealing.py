@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import chain_dp, random_search, simulated_annealing
+from repro.baselines import pbqp_solve, random_search, simulated_annealing
 from repro.errors import ConfigError
 
 from tests.helpers import synthetic_chain_lut, trap_lut
@@ -40,7 +40,7 @@ class TestSimulatedAnnealing:
         for seed in range(5):
             lut = synthetic_chain_lut(10, 4, seed=seed)
             sa = simulated_annealing(lut, episodes=200, seed=seed)
-            assert sa.best_ms >= chain_dp(lut).best_ms - 1e-9
+            assert sa.best_ms >= pbqp_solve(lut).best_ms - 1e-9
 
     def test_near_optimal_on_trap(self):
         result = simulated_annealing(trap_lut(), episodes=300, seed=0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import cross_entropy_method, genetic_search
-from repro.baselines.dp_optimal import chain_dp
+from repro.baselines.pbqp import pbqp_solve
 from repro.core import QSDNNSearch, SearchConfig
 from repro.core.population import validate_population
 from repro.errors import ConfigError
@@ -90,7 +90,7 @@ class TestSolutionQuality:
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_near_optimal_on_chains(self, runner):
         lut = synthetic_chain_lut(6, 4, seed=5)
-        optimal = chain_dp(lut).best_ms
+        optimal = pbqp_solve(lut).best_ms
         result = runner(lut, episodes=600, seed=0)
         assert result.best_ms <= optimal * 1.05 + 1e-9
 

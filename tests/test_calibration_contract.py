@@ -183,10 +183,10 @@ class TestPaperNumbers:
 
     def test_gpgpu_search_beats_vendor_library_on_mobilenet(self, tx2):
         from repro.analysis._cache import cached_lut
-        from repro.baselines import chain_dp
+        from repro.baselines import pbqp_solve
         from repro.baselines.best_single_library import single_library_schedule
 
         lut = cached_lut("mobilenet_v1", Mode.GPGPU, tx2, seed=0)
         cudnn_only = single_library_schedule(lut, "cudnn").total_ms
-        optimum = chain_dp(lut).best_ms
+        optimum = pbqp_solve(lut).best_ms
         assert cudnn_only / optimum >= 1.4  # the paper's 'over 1.4x'

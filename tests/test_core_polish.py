@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import brute_force, chain_dp
+from repro.baselines import pbqp_solve
 from repro.core.polish import coordinate_descent
 
-from tests.helpers import synthetic_chain_lut, trap_lut
+from tests.helpers import enumerate_optimum, synthetic_chain_lut, trap_lut
 
 
 def _random_choices(idx, seed):
@@ -40,7 +40,7 @@ class TestCoordinateDescent:
         """The global optimum is 1-opt: polish must not move it."""
         lut = synthetic_chain_lut(6, 4, seed=3)
         idx = lut.indexed()
-        optimum = chain_dp(lut)
+        optimum = pbqp_solve(lut)
         start = np.array(
             [
                 lut.candidates[l].index(optimum.best_assignments[l])
@@ -59,7 +59,7 @@ class TestCoordinateDescent:
         idx = lut.indexed()
         greedy_start = np.array([0, 1, 0], dtype=np.int64)  # the red path
         _, total = coordinate_descent(idx, greedy_start, max_sweeps=3)
-        assert total == pytest.approx(brute_force(lut).best_ms)
+        assert total == pytest.approx(enumerate_optimum(lut).best_ms)
 
     def test_zero_sweeps_is_identity(self):
         lut = synthetic_chain_lut(5, 3, seed=4)
@@ -87,4 +87,4 @@ class TestCoordinateDescent:
         _, after = coordinate_descent(idx, start, max_sweeps=4)
         assert after <= idx.total_ms(start) + 1e-12
         # And never below the global optimum.
-        assert after >= chain_dp(lut).best_ms - 1e-9
+        assert after >= pbqp_solve(lut).best_ms - 1e-9

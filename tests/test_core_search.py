@@ -6,10 +6,10 @@ import pytest
 
 from repro.core import EpsilonSchedule, QSDNNSearch, SearchConfig
 from repro.core.state import SearchState, describe_assignments
-from repro.baselines import brute_force, chain_dp
+from repro.baselines import pbqp_solve
 from repro.errors import ConfigError
 
-from tests.helpers import synthetic_chain_lut, trap_lut
+from tests.helpers import enumerate_optimum, synthetic_chain_lut, trap_lut
 
 
 class TestSearchConfig:
@@ -45,13 +45,13 @@ class TestSearchConfig:
 class TestConvergence:
     def test_finds_optimum_on_small_synthetic(self):
         lut = synthetic_chain_lut(5, 4, seed=1)
-        optimal = brute_force(lut)
+        optimal = enumerate_optimum(lut)
         result = QSDNNSearch(lut, SearchConfig(episodes=600, seed=0)).run()
         assert result.best_ms == pytest.approx(optimal.best_ms, rel=1e-9)
 
-    def test_matches_dp_on_larger_chain(self):
+    def test_matches_optimum_on_larger_chain(self):
         lut = synthetic_chain_lut(20, 6, seed=2)
-        optimal = chain_dp(lut)
+        optimal = pbqp_solve(lut)
         result = QSDNNSearch(lut, SearchConfig(episodes=1500, seed=0)).run()
         assert result.best_ms <= optimal.best_ms * 1.05
 
@@ -131,7 +131,7 @@ class TestResult:
 class TestAblations:
     def test_reward_shaping_off_still_learns(self):
         lut = synthetic_chain_lut(6, 4, seed=8)
-        optimal = chain_dp(lut).best_ms
+        optimal = pbqp_solve(lut).best_ms
         cfg = SearchConfig(episodes=800, seed=0, reward_shaping=False)
         result = QSDNNSearch(lut, cfg).run()
         assert result.best_ms <= optimal * 1.3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import chain_dp
+from repro.baselines import pbqp_solve
 from repro.errors import ConfigError
 from repro.ext.energy import EnergyModel, schedule_energy_mj
 from repro.ext.multiobjective import (
@@ -97,7 +97,7 @@ class TestParetoSweep:
     def test_lam_zero_matches_latency_optimum(self, lut):
         points = pareto_sweep(lut, lams=[0.0], episodes=400, seed=0)
         assert points[0].latency_ms == pytest.approx(
-            chain_dp(lut).best_ms, rel=0.02
+            pbqp_solve(lut).best_ms, rel=0.02
         )
 
     def test_energy_weight_reduces_energy(self, lut):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import chain_dp, random_search
+from repro.baselines import pbqp_solve, random_search
 from repro.errors import ConfigError
 from repro.ext.linear_q import LinearQConfig, LinearQSearch
 
@@ -43,7 +43,7 @@ class TestLinearQSearch:
     def test_near_optimal_on_real_network(self, lenet_lut_gpgpu):
         lut = lenet_lut_gpgpu
         result = LinearQSearch(lut, LinearQConfig(episodes=500, seed=0)).run()
-        optimum = chain_dp(lut).best_ms
+        optimum = pbqp_solve(lut).best_ms
         assert result.best_ms <= optimum * 1.25
 
     def test_deterministic(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import chain_dp, random_search
+from repro.baselines import pbqp_solve, random_search
 from repro.errors import ConfigError
 from repro.ext.mlp_q import MLPQConfig, MLPQSearch, _MLP
 from repro.utils.rng import derive_rng
@@ -80,7 +80,7 @@ class TestMLPQSearch:
         result = MLPQSearch(
             lenet_lut_gpgpu, MLPQConfig(episodes=300, seed=0)
         ).run()
-        optimum = chain_dp(lenet_lut_gpgpu).best_ms
+        optimum = pbqp_solve(lenet_lut_gpgpu).best_ms
         assert result.best_ms <= optimum * 1.5
 
     def test_deterministic(self):

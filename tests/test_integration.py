@@ -16,13 +16,14 @@ from repro import (
 )
 from repro.baselines import (
     best_single_library,
-    chain_dp,
     greedy_per_layer,
     pbqp_solve,
     random_search,
 )
 from repro.hw.presets import raspberry_pi3
 from repro.hw.processor import ProcessorKind
+
+from tests.helpers import enumerate_optimum
 
 
 class TestTwoPhasePipeline:
@@ -61,7 +62,7 @@ class TestPaperClaimsSmall:
     def test_lenet_gpgpu_optimum_is_pure_cpu(self, lenet_lut_gpgpu):
         """§VI-A: 'the fastest implementation for Lenet-5 in GPGPU mode
         is actually a pure CPU implementation'."""
-        optimum = chain_dp(lenet_lut_gpgpu)
+        optimum = pbqp_solve(lenet_lut_gpgpu)
         procs = {
             lenet_lut_gpgpu.meta[u].processor
             for u in optimum.best_assignments.values()
@@ -79,7 +80,7 @@ class TestPaperClaimsSmall:
         rl = QSDNNSearch(
             lenet_lut_gpgpu, SearchConfig(episodes=600, seed=0)
         ).run()
-        exact = chain_dp(lenet_lut_gpgpu)
+        exact = pbqp_solve(lenet_lut_gpgpu)
         assert rl.best_ms <= exact.best_ms * 1.02
 
     def test_qsdnn_beats_rs_at_equal_budget(self, lenet_lut_gpgpu):
@@ -89,11 +90,9 @@ class TestPaperClaimsSmall:
         rs = random_search(lenet_lut_gpgpu, episodes=300, seed=1)
         assert rl.best_ms <= rs.best_ms
 
-    def test_toy_qsdnn_equals_brute_force(self, toy_lut_gpgpu):
-        from repro.baselines import brute_force
-
+    def test_toy_qsdnn_equals_enumeration(self, toy_lut_gpgpu):
         rl = QSDNNSearch(toy_lut_gpgpu, SearchConfig(episodes=400, seed=0)).run()
-        exact = brute_force(toy_lut_gpgpu)
+        exact = enumerate_optimum(toy_lut_gpgpu)
         assert rl.best_ms == pytest.approx(exact.best_ms, rel=1e-6)
 
     def test_greedy_no_better_than_qsdnn(self, lenet_lut_gpgpu):
@@ -123,7 +122,7 @@ class TestAlexNetFCStory:
         ).profile()
 
     def test_qsdnn_routes_fc_through_cublas(self, alexnet_lut):
-        optimum = chain_dp(alexnet_lut)
+        optimum = pbqp_solve(alexnet_lut)
         for fc in ("fc6", "fc7", "fc8"):
             assert optimum.best_assignments[fc] == "cublas.gemv.sgemv"
 
@@ -131,11 +130,11 @@ class TestAlexNetFCStory:
         from repro.baselines.best_single_library import single_library_schedule
 
         cudnn_only = single_library_schedule(alexnet_lut, "cudnn")
-        optimum = chain_dp(alexnet_lut)
+        optimum = pbqp_solve(alexnet_lut)
         assert cudnn_only.total_ms / optimum.best_ms > 3.0
 
     def test_convs_stay_on_gpu(self, alexnet_lut):
-        optimum = chain_dp(alexnet_lut)
+        optimum = pbqp_solve(alexnet_lut)
         for conv in ("conv2", "conv3", "conv4", "conv5"):
             meta = alexnet_lut.meta[optimum.best_assignments[conv]]
             assert meta.processor is ProcessorKind.GPU
@@ -150,6 +149,6 @@ class TestCrossPlatform:
             graph = build_network(graph_name)
             opt = InferenceEngineOptimizer(graph, platform, mode=Mode.CPU, seed=0)
             lut = opt.profile()
-            results[platform.name] = chain_dp(lut).best_ms
+            results[platform.name] = pbqp_solve(lut).best_ms
         # The Pi is strictly slower end-to-end.
         assert results["raspberry_pi3"] > results["jetson_tx2"]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import brute_force, chain_dp, pbqp_solve, random_search
+from repro.baselines import PBQPSolver, pbqp_solve, random_search
 from repro.core import QSDNNSearch, SearchConfig
 from repro.core.epsilon import EpsilonSchedule
+from repro.core.polish import coordinate_descent
 from repro.core.qtable import QTable
 from repro.engine.lut import LatencyTable
 from repro.hw.noise import NoiseModel
@@ -19,7 +20,7 @@ from repro.nn.types import LayerKind
 from repro.utils.rng import derive_rng, spawn_seed
 from repro.utils.stats import running_min
 
-from tests.helpers import synthetic_chain_lut
+from tests.helpers import enumerate_optimum, synthetic_chain_lut, synthetic_lut
 
 # -- strategies ---------------------------------------------------------------
 
@@ -29,6 +30,38 @@ small_lut = st.builds(
     num_actions=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=10_000),
 )
+
+
+@st.composite
+def graph_lut(draw):
+    """A tiny random LUT on a chain, a tree, or a DAG that joins each
+    pair of layers i < j with probability p."""
+    num_layers = draw(st.integers(min_value=2, max_value=6))
+    shape = draw(st.sampled_from(["chain", "tree", "dag"]))
+    if shape == "chain":
+        edges = [(i, i + 1) for i in range(num_layers - 1)]
+    elif shape == "tree":
+        edges = [
+            (draw(st.integers(min_value=0, max_value=j - 1)), j)
+            for j in range(1, num_layers)
+        ]
+    else:
+        p = draw(st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+        edges = [
+            (i, j)
+            for i in range(num_layers)
+            for j in range(i + 1, num_layers)
+            if draw(st.floats(min_value=0.0, max_value=1.0)) < p
+        ]
+    return synthetic_lut(
+        num_layers,
+        draw(st.integers(min_value=2, max_value=4)),
+        edges,
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+        transfer_scale=2.0,
+        conversion_scale=3.0,
+    )
+
 
 chain_lut = st.builds(
     synthetic_chain_lut,
@@ -42,24 +75,36 @@ chain_lut = st.builds(
 
 
 class TestSolverProperties:
-    @given(lut=small_lut)
-    @settings(max_examples=25, deadline=None)
-    def test_chain_dp_equals_brute_force(self, lut: LatencyTable):
-        assert chain_dp(lut).best_ms == pytest.approx(
-            brute_force(lut).best_ms, rel=1e-12
+    @given(lut=graph_lut())
+    @settings(max_examples=60, deadline=None)
+    def test_pbqp_equals_enumeration(self, lut: LatencyTable):
+        solver = PBQPSolver(lut)
+        result = solver.solve()
+        assert result.best_ms == pytest.approx(
+            enumerate_optimum(lut).best_ms, rel=1e-12
         )
+        assert solver.proven
 
     @given(lut=chain_lut)
     @settings(max_examples=25, deadline=None)
-    def test_pbqp_equals_dp_on_chains(self, lut: LatencyTable):
-        assert pbqp_solve(lut).best_ms == pytest.approx(
-            chain_dp(lut).best_ms, rel=1e-12
+    def test_pbqp_is_one_opt_on_chains(self, lut: LatencyTable):
+        """Too large to enumerate: no single-layer move improves the
+        proven optimum."""
+        solver = PBQPSolver(lut)
+        result = solver.solve()
+        assert solver.proven
+        idx = lut.indexed()
+        start = np.array(
+            [lut.candidates[l].index(result.best_assignments[l]) for l in lut.layers],
+            dtype=np.int64,
         )
+        _, polished = coordinate_descent(idx, start, max_sweeps=2)
+        assert polished >= result.best_ms - 1e-9
 
     @given(lut=chain_lut, seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
-    def test_dp_lower_bounds_random_schedules(self, lut: LatencyTable, seed: int):
-        optimum = chain_dp(lut).best_ms
+    def test_pbqp_lower_bounds_random_schedules(self, lut: LatencyTable, seed: int):
+        optimum = pbqp_solve(lut).best_ms
         rng = np.random.default_rng(seed)
         idx = lut.indexed()
         for _ in range(5):
@@ -70,15 +115,15 @@ class TestSolverProperties:
 
     @given(lut=chain_lut, seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=15, deadline=None)
-    def test_rs_never_beats_dp(self, lut: LatencyTable, seed: int):
-        optimum = chain_dp(lut).best_ms
+    def test_rs_never_beats_pbqp(self, lut: LatencyTable, seed: int):
+        optimum = pbqp_solve(lut).best_ms
         rs = random_search(lut, episodes=50, seed=seed)
         assert optimum <= rs.best_ms + 1e-9
 
     @given(lut=small_lut, seed=st.integers(min_value=0, max_value=100))
     @settings(max_examples=10, deadline=None)
-    def test_qsdnn_never_beats_brute_force(self, lut: LatencyTable, seed: int):
-        exact = brute_force(lut).best_ms
+    def test_qsdnn_never_beats_enumeration(self, lut: LatencyTable, seed: int):
+        exact = enumerate_optimum(lut).best_ms
         rl = QSDNNSearch(lut, SearchConfig(episodes=60, seed=seed)).run()
         assert exact <= rl.best_ms + 1e-9
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Mode, jetson_tx2
 from repro.backends import design_space
-from repro.baselines import chain_dp, is_chain, pbqp_solve, random_search
+from repro.baselines import PBQPSolver, random_search
 from repro.core import QSDNNSearch, SearchConfig
+from repro.core.polish import coordinate_descent
 from repro.engine import Executor, Profiler
 from repro.engine.schedule import vanilla_schedule
 from repro.nn.builder import NetworkBuilder
@@ -94,12 +95,19 @@ class TestPipelineProperties:
 
     @given(graph=random_network())
     @settings(max_examples=10, deadline=None)
-    def test_exact_solvers_agree_on_chains(self, graph):
+    def test_exact_solver_proven_and_one_opt(self, graph):
         _, lut, _ = _profile(graph, _QUIET)
-        pb = pbqp_solve(lut)
+        solver = PBQPSolver(lut)
+        pb = solver.solve()
+        assert solver.proven
         assert lut.schedule_time(pb.best_assignments) == pytest.approx(pb.best_ms)
-        if is_chain(lut):
-            assert pb.best_ms == pytest.approx(chain_dp(lut).best_ms, rel=1e-9)
+        idx = lut.indexed()
+        start = np.array(
+            [lut.candidates[l].index(pb.best_assignments[l]) for l in lut.layers],
+            dtype=np.int64,
+        )
+        _, polished = coordinate_descent(idx, start, max_sweeps=2)
+        assert polished >= pb.best_ms - 1e-9
 
     @given(graph=random_network())
     @settings(max_examples=8, deadline=None)

@@ -94,7 +94,7 @@ class TestExecuteJob:
         )
         result = execute_job(job, None)
         assert isinstance(result.payload, MethodComparison)
-        assert result.payload.optimal_ms is not None  # toy net is a chain
+        assert result.payload.optimal_ms is not None  # proven optimal
         assert result.payload.cem_ms > 0 and result.payload.ga_ms > 0
 
     @pytest.mark.parametrize("kind,method", [("cem", "cem"), ("ga", "genetic")])

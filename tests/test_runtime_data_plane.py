@@ -428,7 +428,7 @@ def _beat_threads(name: str) -> list[threading.Thread]:
 def _stop_beating(worker: FleetWorker) -> None:
     """End the beat thread a test started outside the worker's loop."""
     thread = worker._beat_thread
-    worker._stop_beating()
+    worker._end_run()
     if thread is not None:
         thread.join(timeout=5)
         assert not thread.is_alive()

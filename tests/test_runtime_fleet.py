@@ -20,6 +20,7 @@ import signal
 import threading
 import time
 from dataclasses import asdict
+from functools import partial
 
 import pytest
 
@@ -58,7 +59,7 @@ from repro.runtime.worker import (
     encode_outcome,
     run_worker,
 )
-from tests.helpers import stop_loop_thread
+from tests.helpers import LiveService
 
 EPISODES = 150
 
@@ -422,69 +423,10 @@ class TestStoreLeasePersistence:
         assert store.get_lease("l1") == late
 
 
-class LiveFleet:
-    """A live service on a background loop thread (fleet configs)."""
-
-    def __init__(self, **overrides):
-        overrides.setdefault("port", 0)
-        overrides.setdefault("workers", 0)
-        # A test that leaves a lease outstanding would otherwise spend
-        # the default 30 s drain window in shutdown; drain tests set
-        # their own.
-        overrides.setdefault("drain_timeout_s", 0.5)
-        self.config = ServiceConfig(**overrides)
-        self.service = CampaignService(self.config)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = threading.Event()
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def __enter__(self) -> "LiveFleet":
-        self._thread.start()
-        assert self._started.wait(10), "service failed to start"
-        self.client = ServiceClient(
-            f"http://127.0.0.1:{self.service.port}", timeout=60
-        )
-        return self
-
-    def wait_closed(self, timeout: float = 60.0) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.service.wait_closed(), self.loop
-        ).result(timeout)
-
-    def raw(self, method: str, path: str, body=None, headers=None):
-        """One request returning the raw response (status + headers)."""
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", self.service.port, timeout=30
-        )
-        try:
-            payload = json.dumps(body).encode() if body is not None else None
-            sent = {"Content-Type": "application/json"} if payload else {}
-            sent.update(headers or {})
-            conn.request(method, path, body=payload, headers=sent)
-            response = conn.getresponse()
-            raw = response.read()
-            return (
-                response.status,
-                dict(response.getheaders()),
-                json.loads(raw) if raw else {},
-            )
-        finally:
-            conn.close()
-
-    def __exit__(self, *exc) -> None:
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self.loop
-            ).result(60)
-        finally:
-            stop_loop_thread(self.loop, self._thread)
-            self.client.close()
+#: A fleet service: no local workers.  A test that leaves a lease
+#: outstanding would otherwise spend the default 30 s drain window in
+#: shutdown; drain tests set their own.
+LiveFleet = partial(LiveService, workers=0, drain_timeout_s=0.5)
 
 
 def _toy_body(**overrides):
@@ -631,6 +573,53 @@ class TestFleetWorkerOverHttp:
             (lease,) = listing["leases"]
             assert lease["worker"] == worker_id
             assert lease["job_id"] == record["id"]
+
+
+class TestRestartedService:
+    """A second service process on the same store, or reached by a
+    worker that leased from the process before it: lease ids from one
+    process never name a lease of another."""
+
+    def test_restart_on_the_same_store_grants_fresh_lease_ids(self, tmp_path):
+        store = str(tmp_path / "results.db")
+        with LiveFleet(store_path=store) as live:
+            worker = FleetWorker(WorkerConfig(server=live.url, poll_s=0.05))
+            worker.register()
+            first = live.client.submit(_toy_body())[0]
+            assert worker.run_one() is True
+            done = live.client.wait(first["id"], timeout=60)
+        # The lease table keeps the first process's rows.
+        with LiveFleet(store_path=store) as live:
+            again = live.client.submit(_toy_body())[0]
+            assert again["from_store"] and again["best_ms"] == done["best_ms"]
+            worker = FleetWorker(WorkerConfig(server=live.url, poll_s=0.05))
+            worker.register()
+            fresh = live.client.submit(_toy_body(episodes=EPISODES + 1))[0]
+            assert worker.run_one() is True
+            final = live.client.wait(fresh["id"], timeout=60)
+        assert final["state"] == "done"
+        assert final["lease_id"] != done["lease_id"]
+
+    def test_stale_delivery_to_a_restarted_service_answers_409(self):
+        """A worker re-sends a failed delivery before it leases again.
+        Sent to a restarted service (default in-memory store), it must
+        not land as the result of whichever job holds a lease there."""
+        with LiveFleet() as live:
+            grant = live.client.register_worker("before")
+            stale = live.client.submit(_toy_body(episodes=4))[0]
+            lease_id = live.client.lease(grant["worker"]["id"])["lease"]["lease_id"]
+        outcome = encode_outcome(execute_job(_toy_job(episodes=4)))
+        outcome["job_id"] = stale["id"]
+        with LiveFleet() as live:
+            grant = live.client.register_worker("after")
+            record = live.client.submit(_toy_body(episodes=40, seed=7))[0]
+            live.client.lease(grant["worker"]["id"])
+            status, _, body = live.raw(
+                "POST", f"/leases/{lease_id}/results", {"results": [outcome]}
+            )
+            assert status == 409, body
+            assert live.client.job(record["id"])["state"] == "running"
+            assert live.client.results() == []
 
 
 class TestShutdownDrain:
@@ -1304,6 +1293,7 @@ class _DeliveryFailsClient:
 
     def __init__(self, url, *args, **kwargs):
         self.leases = 0
+        self.closed = False
 
     def register_worker(self, name=None):
         return {"worker": {"id": "w1"}, "lease_ttl_s": 30.0, "heartbeat_s": 10.0}
@@ -1321,6 +1311,9 @@ class _DeliveryFailsClient:
 
     def submit_results(self, lease_id, outcomes):
         raise ConnectionRefusedError("service gone")
+
+    def close(self):
+        self.closed = True
 
 
 class _FlakyDeliveryClient(_DeliveryFailsClient):
@@ -1371,6 +1364,21 @@ class TestWorkerLoop:
         assert stats["completed"] == stats["failed"] == 0
         assert stats["undelivered"] == 1
         assert stats["polls"] == 1
+
+    def test_worker_closes_only_the_client_it_made(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.worker.ServiceClient", _DeliveryFailsClient)
+        made = FleetWorker(WorkerConfig(server="http://127.0.0.1:9", poll_s=0.01))
+        made.register()
+        made.run()
+        assert made.client.closed
+        injected = _FlakyDeliveryClient(None)
+        worker = FleetWorker(
+            WorkerConfig(server="http://stub", poll_s=0.01, lease_batch=2, max_jobs=2),
+            client=injected,
+        )
+        worker.register()
+        worker.run()
+        assert not injected.closed
 
     def test_failed_delivery_is_resent_before_the_next_lease(self):
         """A batch whose delivery failed in transit is kept and re-sent:

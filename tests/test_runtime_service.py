@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -28,52 +28,13 @@ from repro.runtime.service import (
     jobs_from_body,
 )
 from repro.utils.stats import running_min
-from tests.helpers import stop_loop_thread
+from tests import helpers
 
 EPISODES = 150
 
 
-class LiveService:
-    """A service running on a background event-loop thread."""
-
-    def __init__(self, **overrides):
-        overrides.setdefault("port", 0)
-        overrides.setdefault("workers", 1)
-        self.config = ServiceConfig(**overrides)
-        self.service = CampaignService(self.config)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = threading.Event()
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def __enter__(self) -> "LiveService":
-        self._thread.start()
-        assert self._started.wait(10), "service failed to start"
-        self.client = ServiceClient(
-            f"http://127.0.0.1:{self.service.port}", timeout=60
-        )
-        return self
-
-    def wait_closed(self, timeout: float = 60.0) -> None:
-        """Block until a shutdown (local or remote) has completed."""
-        asyncio.run_coroutine_threadsafe(
-            self.service.wait_closed(), self.loop
-        ).result(timeout)
-
-    def __exit__(self, *exc) -> None:
-        try:
-            # Idempotent: completes immediately if already shut down.
-            asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self.loop
-            ).result(60)
-        finally:
-            stop_loop_thread(self.loop, self._thread)
-            self.client.close()
+#: This module's services run one local worker.
+LiveService = partial(helpers.LiveService, workers=1)
 
 
 def _toy_body(**overrides):
